@@ -339,20 +339,25 @@ func statsPayload(st serve.Stats) map[string]any {
 		outcomes[serve.Outcome(o).String()] = n
 	}
 	return map[string]any{
-		"model":         st.Model,
-		"outcomes":      outcomes,
-		"batches":       st.Batches,
-		"breaker":       st.Breaker.String(),
-		"breaker_trips": st.BreakerTrips,
-		"queue_len":     st.QueueLen,
-		"kwh":           st.KWh,
+		"model":           st.Model,
+		"outcomes":        outcomes,
+		"batches":         st.Batches,
+		"breaker":         st.Breaker.String(),
+		"breaker_trips":   st.BreakerTrips,
+		"queue_len":       st.QueueLen,
+		"kwh":             st.KWh,
+		"journal_dropped": st.JournalDropped,
 	}
 }
 
 func formatStats(st serve.Stats) string {
-	return fmt.Sprintf("model %s, %d served, %d shed, %d expired, %d degraded, %d failed, %.6f kWh",
+	s := fmt.Sprintf("model %s, %d served, %d shed, %d expired, %d degraded, %d failed, %.6f kWh",
 		st.Model, st.Outcomes[serve.Served], st.Outcomes[serve.Shed], st.Outcomes[serve.Expired],
 		st.Outcomes[serve.Degraded], st.Outcomes[serve.Failed], st.KWh)
+	if st.JournalDropped > 0 {
+		s += fmt.Sprintf(", %d journal operations failed", st.JournalDropped)
+	}
+	return s
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

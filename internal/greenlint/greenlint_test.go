@@ -259,6 +259,31 @@ func TestDirectivesFixture(t *testing.T) {
 	}
 }
 
+// TestWildcardStopsAtNestedModule pins the go tool's wildcard scope: a
+// directory below the wildcard root that holds its own go.mod is another
+// module, so "./..." must not lint it (go vet ./... and go list ./...
+// skip it too).
+func TestWildcardStopsAtNestedModule(t *testing.T) {
+	root := filepath.Join("testdata", "nestedmod")
+	got, err := expandPatterns([]string{root + "/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{root, filepath.Join(root, "sub")}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("expandPatterns(%s/...) = %v, want %v", root, got, want)
+	}
+	// Rooting the wildcard inside the nested module still covers it.
+	inner := filepath.Join(root, "inner")
+	got, err = expandPatterns([]string{inner + "/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != inner {
+		t.Fatalf("expandPatterns(%s/...) = %v, want [%s]", inner, got, inner)
+	}
+}
+
 // TestFindingFormat pins the output contract the CI job and editors
 // parse: file:line: [check] message.
 func TestFindingFormat(t *testing.T) {

@@ -34,7 +34,9 @@ type Package struct {
 // Load parses and type-checks every package matched by patterns.
 // Patterns are plain directories ("./internal/bench") or recursive
 // wildcards ("./..."), resolved like the go tool: testdata, hidden, and
-// underscore-prefixed directories are skipped by wildcards. The loader
+// underscore-prefixed directories are skipped by wildcards, and so is
+// any directory below the wildcard root holding its own go.mod — a
+// nested module, which is not part of this one. The loader
 // is stdlib-only — imports resolve through go/importer's source
 // importer, so no binary export data or external module is needed.
 func Load(fset *token.FileSet, patterns []string) ([]*Package, error) {
@@ -111,7 +113,7 @@ func expandPatterns(patterns []string) ([]string, error) {
 					return nil
 				}
 				name := d.Name()
-				if p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				if p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || isFile(filepath.Join(p, "go.mod"))) {
 					return filepath.SkipDir
 				}
 				if hasGoFiles(p) {
@@ -131,6 +133,11 @@ func expandPatterns(patterns []string) ([]string, error) {
 		add(dir)
 	}
 	return dirs, nil
+}
+
+func isFile(path string) bool {
+	info, err := os.Stat(path)
+	return err == nil && !info.IsDir()
 }
 
 func hasGoFiles(dir string) bool {

@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 
 	"repro/internal/tabular"
 )
@@ -54,23 +53,6 @@ func (k *KNN) Fit(ds tabular.View, _ *rand.Rand) (Cost, error) {
 	return Cost{Generic: float64(ds.Rows())}, nil
 }
 
-// knnCand is one training row's (distance, label) pair during
-// neighbour selection.
-type knnCand struct {
-	dist  float64
-	label int
-}
-
-// knnByDist sorts candidates by ascending distance. A concrete
-// sort.Interface runs the exact pdqsort the historical sort.Slice call
-// used (both are generated from the same template), so ties between
-// equal distances resolve through the identical swap sequence.
-type knnByDist []knnCand
-
-func (s knnByDist) Len() int           { return len(s) }
-func (s knnByDist) Less(a, b int) bool { return s[a].dist < s[b].dist }
-func (s knnByDist) Swap(a, b int)      { s[a], s[b] = s[b], s[a] }
-
 // knnQBlock is the query-block width of the distance kernel: one pass
 // over the memorized columns serves knnQBlock queries, cutting column
 // traffic by that factor while each (query, train) pair still sums its
@@ -81,7 +63,7 @@ const knnQBlock = 8
 type knnWorker struct {
 	dist  []float64 // knnQBlock stacked distance rows
 	q     []float64 // gathered query-column block
-	cands []knnCand
+	cands []sortKey // (distance, training row) selection scratch
 }
 
 // PredictProba implements Classifier. The scan is feature-major over
@@ -108,7 +90,7 @@ func (k *KNN) PredictProba(x tabular.View) ([][]float64, Cost) {
 			ws = &knnWorker{
 				dist:  make([]float64, knnQBlock*n),
 				q:     make([]float64, knnQBlock),
-				cands: make([]knnCand, n),
+				cands: make([]sortKey, n),
 			}
 			workers[w] = ws
 		}
@@ -122,16 +104,19 @@ func (k *KNN) PredictProba(x tabular.View) ([][]float64, Cost) {
 				dist := ws.dist[s*n : s*n+n]
 				cands := ws.cands
 				for t := range cands {
-					cands[t] = knnCand{dist: dist[t], label: k.y[t]}
+					cands[t] = sortKey{key: dist[t], idx: int32(t)}
 				}
-				sort.Sort(knnByDist(cands))
+				// sortKeys leaves the permutation sort.Sort leaves, so
+				// ties between equal distances resolve exactly as the
+				// historical sort.Slice call resolved them.
+				sortKeys(cands)
 				votes := make([]float64, k.classes)
 				for _, c := range cands[:kk] {
 					w := 1.0
 					if k.Params.DistanceWeighted {
-						w = 1 / (1e-9 + c.dist)
+						w = 1 / (1e-9 + c.key)
 					}
-					votes[c.label] += w
+					votes[k.y[c.idx]] += w
 				}
 				normalizeInPlace(votes)
 				out[i+s] = votes

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 
 	"repro/internal/tabular"
 )
@@ -72,11 +71,11 @@ type treeNode struct {
 // pooled column-major cache, node sample indices occupy ranges of one
 // shared buffer that split partitioning rearranges in place, and split
 // scoring works off presorted per-feature index lists (built lazily) or a
-// reusable sort scratch. The rewrite is bit-compatible with the original
-// per-split sort.Slice kernel: identical trees, identical RNG consumption
-// and identical Cost, so the virtual-clock energy accounting of every
-// consumer (forests, AdaBoost, gradient boosting, TPOT pipelines, the BO
-// surrogate) is unchanged.
+// reusable (value, index) key scratch sorted by sortKeys. The rewrite is
+// bit-compatible with the original per-split sort.Slice kernel: identical
+// trees, identical RNG consumption and identical Cost, so the
+// virtual-clock energy accounting of every consumer (forests, AdaBoost,
+// gradient boosting, TPOT pipelines, the BO surrogate) is unchanged.
 type treeCore struct {
 	params  TreeParams
 	classes int // 0 for regression
@@ -285,6 +284,10 @@ func (tc *treeCore) findSplit(task treeTask, lo, hi int, rng *rand.Rand) (featur
 	}
 
 	m := hi - lo
+	// The modeled cost of one exhaustive candidate depends on the node
+	// size alone, so it is computed once per node, not once per feature.
+	fm := float64(m)
+	exhaustiveCost := fm * (math.Log2(fm+2) + float64(max(tc.classes, 1)))
 	bestGain := 0.0
 	ok = false
 	for _, f := range features {
@@ -292,11 +295,10 @@ func (tc *treeCore) findSplit(task treeTask, lo, hi int, rng *rand.Rand) (featur
 		var found bool
 		if tc.params.RandomThreshold {
 			gain, thr, found = tc.evalRandomThreshold(task, lo, hi, f, rng)
-			tc.cost.Tree += 3 * float64(m)
+			tc.cost.Tree += 3 * fm
 		} else {
 			gain, thr, found = tc.evalExhaustive(task, lo, hi, f)
-			fm := float64(m)
-			tc.cost.Tree += fm * (math.Log2(fm+2) + float64(max(tc.classes, 1)))
+			tc.cost.Tree += exhaustiveCost
 		}
 		if found && gain > bestGain {
 			bestGain, threshold, feature, ok = gain, thr, f, true
@@ -305,8 +307,12 @@ func (tc *treeCore) findSplit(task treeTask, lo, hi int, rng *rand.Rand) (featur
 	return feature, threshold, ok
 }
 
-// orderByFeature leaves the node's sample indices sorted by feature f in
-// the order scratch. Two paths produce that order:
+// orderByFeature fills the keys scratch with the node's (value, index)
+// pairs ordered by feature f. It returns ok = false without ordering
+// anything when f is constant over the node: the split scan skips every
+// position whose neighbouring values are equal, so a constant feature
+// can never yield a split, and findSplit has already charged its Cost.
+// Two paths produce the order:
 //
 //   - Presorted filter (classification only): scan the lazily built
 //     full-column presorted index list and keep the node's members —
@@ -317,37 +323,49 @@ func (tc *treeCore) findSplit(task treeTask, lo, hi int, rng *rand.Rand) (featur
 //     at boundaries between distinct feature values, where the cumulative
 //     counts depend on the sample set alone.
 //
-//   - Direct pdqsort on the node's indices, bit-compatible with the
-//     historical sort.Slice call (see colSorter). Regression always takes
-//     this path: its prefix sums accumulate floats in sorted order, so
-//     tie order changes the bits of candidate gains — silently diverging
-//     from the classification kernel is exactly what the shared scratch
-//     path must avoid.
+//   - Direct sortKeys on the node's keys. sortKeys is pdqsort specialised
+//     to sortKey, and leaves exactly the permutation sort.Sort (and the
+//     historical sort.Slice call) leaves, ties included. Regression always
+//     takes this path: its prefix sums accumulate floats in sorted order,
+//     so tie order changes the bits of candidate gains.
 //
 //greenlint:hotpath per-node candidate ordering; both paths reuse treeScratch buffers
-func (tc *treeCore) orderByFeature(lo, hi, f int) []int32 {
+func (tc *treeCore) orderByFeature(lo, hi, f int) (keys []sortKey, ok bool) {
 	s := tc.scratch
 	m := hi - lo
-	order := s.order[:m]
+	keys = s.keys[:m]
+	col := s.col(f)
+	idx := s.idx[lo:hi]
+	first := col[idx[0]]
+	varies := false
 	if tc.classes > 0 && m*ceilLog2(m) > s.n {
-		sorted := s.ensureSorted(f)
 		st := s.nextStamp()
-		for _, i := range s.idx[lo:hi] {
+		for _, i := range idx {
 			s.nodeStamp[i] = st
+			varies = varies || col[i] != first
+		}
+		if !varies {
+			return nil, false
 		}
 		k := 0
-		for _, i := range sorted {
+		for _, i := range s.ensureSorted(f) {
 			if s.nodeStamp[i] == st {
-				order[k] = i
+				keys[k] = sortKey{key: col[i], idx: i}
 				k++
 			}
 		}
-		return order
+		return keys, true
 	}
-	copy(order, s.idx[lo:hi])
-	s.sorter.col, s.sorter.order = s.col(f), order
-	sort.Sort(&s.sorter)
-	return order
+	for k, i := range idx {
+		v := col[i]
+		keys[k] = sortKey{key: v, idx: i}
+		varies = varies || v != first
+	}
+	if !varies {
+		return nil, false
+	}
+	sortKeys(keys)
+	return keys, true
 }
 
 // evalExhaustive sorts the samples by feature f and scans every split
@@ -355,8 +373,10 @@ func (tc *treeCore) orderByFeature(lo, hi, f int) []int32 {
 func (tc *treeCore) evalExhaustive(task treeTask, lo, hi, f int) (gain, threshold float64, ok bool) {
 	s := tc.scratch
 	m := hi - lo
-	col := s.col(f)
-	order := tc.orderByFeature(lo, hi, f)
+	keys, ok := tc.orderByFeature(lo, hi, f)
+	if !ok {
+		return 0, 0, false
+	}
 
 	if tc.classes > 0 {
 		left := s.left[:tc.classes]
@@ -364,18 +384,18 @@ func (tc *treeCore) evalExhaustive(task treeTask, lo, hi, f int) (gain, threshol
 		for c := range left {
 			left[c], right[c] = 0, 0
 		}
-		for _, i := range order {
-			right[task.y[i]]++
+		for _, e := range keys {
+			right[task.y[e.idx]]++
 		}
 		parent := tc.impurity(right, float64(m))
 		bestGain := 0.0
 		var bestThr float64
 		found := false
 		for pos := 1; pos < m; pos++ {
-			c := task.y[order[pos-1]]
+			c := task.y[keys[pos-1].idx]
 			left[c]++
 			right[c]--
-			v0, v1 := col[order[pos-1]], col[order[pos]]
+			v0, v1 := keys[pos-1].key, keys[pos].key
 			if v0 == v1 {
 				continue
 			}
@@ -392,8 +412,8 @@ func (tc *treeCore) evalExhaustive(task treeTask, lo, hi, f int) (gain, threshol
 
 	// Regression: incremental sums for MSE decrease.
 	var sumR, sumSqR float64
-	for _, i := range order {
-		t := task.t[i]
+	for _, e := range keys {
+		t := task.t[e.idx]
 		sumR += t
 		sumSqR += t * t
 	}
@@ -403,12 +423,12 @@ func (tc *treeCore) evalExhaustive(task treeTask, lo, hi, f int) (gain, threshol
 	var bestThr float64
 	found := false
 	for pos := 1; pos < m; pos++ {
-		t := task.t[order[pos-1]]
+		t := task.t[keys[pos-1].idx]
 		sumL += t
 		sumSqL += t * t
 		sumRpos := sumR - sumL
 		sumSqRpos := sumSqR - sumSqL
-		v0, v1 := col[order[pos-1]], col[order[pos]]
+		v0, v1 := keys[pos-1].key, keys[pos].key
 		if v0 == v1 {
 			continue
 		}

@@ -81,6 +81,56 @@ func BenchmarkTreeCoreFitRegression(b *testing.B) {
 	}
 }
 
+// oneHotRegression builds a regression task shaped like the grid's
+// preprocessed data: one-hot indicator groups, binary flags and
+// low-cardinality codes, so nearly every split candidate sorts a column
+// of heavy ties, plus a continuous target.
+func oneHotRegression(n int, seed uint64) (*tabular.Dataset, []float64) {
+	r := rand.New(rand.NewPCG(seed, 0x0e))
+	const groups, width, flags, codes = 3, 4, 4, 4
+	ds := &tabular.Dataset{Name: "onehot", Classes: 2}
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		row := make([]float64, 0, groups*width+flags+codes)
+		for g := 0; g < groups; g++ {
+			hot := r.IntN(width)
+			for c := 0; c < width; c++ {
+				v := 0.0
+				if c == hot {
+					v = 1
+				}
+				row = append(row, v)
+			}
+			y[i] += float64(hot) * float64(g+1)
+		}
+		for f := 0; f < flags; f++ {
+			row = append(row, float64(r.IntN(2)))
+		}
+		for c := 0; c < codes; c++ {
+			row = append(row, float64(r.IntN(3+c)))
+		}
+		y[i] += row[len(row)-1] + r.NormFloat64()
+		ds.X = append(ds.X, row)
+		ds.Y = append(ds.Y, i%2)
+	}
+	return ds, y
+}
+
+// BenchmarkTreeCoreFitRegressionOneHot measures the regression kernel on
+// tie-heavy binary and low-cardinality columns, the grid's common case,
+// which BenchmarkTreeCoreFitRegression's continuous columns rarely hit.
+func BenchmarkTreeCoreFitRegressionOneHot(b *testing.B) {
+	ds, y := oneHotRegression(900, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tc := treeCore{params: TreeParams{MaxDepth: 16}}
+		if err := tc.fit(treeTask{v: ds.View(), t: y}, rand.New(rand.NewPCG(7, 0x11))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTreeCoreFitRandomThreshold measures the extra-trees split path.
 func BenchmarkTreeCoreFitRandomThreshold(b *testing.B) {
 	ds := benchDataset(900, 20, 4, 1)

@@ -3,25 +3,8 @@ package ml
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 )
-
-// colSorter sorts a node's sample indices by one cached feature column.
-// It is a concrete sort.Interface so sort.Sort runs the standard library's
-// pdqsort without the per-call closure and reflect.Swapper allocations of
-// sort.Slice — and, because both entry points are generated from the same
-// sort template, with the exact same comparison/swap sequence, so the
-// resulting permutation (including tie order) matches the historical
-// kernel's sort.Slice call bit for bit.
-type colSorter struct {
-	col   []float64
-	order []int32
-}
-
-func (s *colSorter) Len() int           { return len(s.order) }
-func (s *colSorter) Less(a, b int) bool { return s.col[s.order[a]] < s.col[s.order[b]] }
-func (s *colSorter) Swap(a, b int)      { s.order[a], s.order[b] = s.order[b], s.order[a] }
 
 // treeScratch is the reusable working memory of one treeCore.fit: the
 // column-major feature cache, lazily presorted per-feature index lists,
@@ -48,13 +31,14 @@ type treeScratch struct {
 	// idx is the shared node index buffer: each tree node owns a
 	// contiguous [lo, hi) range, split in place by partitioning.
 	idx []int32
-	// order is the per-split sort/filter scratch, part the partition
-	// spill buffer. nodeStamp is the epoch-stamped membership mask for
-	// presorted filtering: rows of the current node carry the current
+	// keys is the per-split (value, index) sort/filter scratch (and the
+	// build scratch of presorted lists), part the partition spill buffer.
+	// nodeStamp is the epoch-stamped membership mask for presorted
+	// filtering: rows of the current node carry the current
 	// stamp, so each filter pass needs one store per member instead of a
 	// set-and-clear round trip over the node (stale stamps from earlier
 	// nodes or earlier pooled fits can never equal a fresh stamp).
-	order     []int32
+	keys      []sortKey
 	part      []int32
 	nodeStamp []int32
 	stamp     int32
@@ -62,7 +46,6 @@ type treeScratch struct {
 	perm []int
 	// left/right/all are class-count scratch for split scoring.
 	left, right, all []float64
-	sorter           colSorter
 }
 
 var treeScratchPool = sync.Pool{New: func() any { return new(treeScratch) }}
@@ -84,7 +67,7 @@ func getTreeScratch(n, d, classes int, needGather bool) *treeScratch {
 		s.sortedBuilt[f] = false
 	}
 	s.idx = sizedI32(s.idx, n)
-	s.order = sizedI32(s.order, n)
+	s.keys = sizedKeys(s.keys, n)
 	s.part = sizedI32(s.part, n)
 	s.nodeStamp = sizedI32(s.nodeStamp, n)
 	s.perm = sizedInt(s.perm, d)
@@ -95,7 +78,6 @@ func getTreeScratch(n, d, classes int, needGather bool) *treeScratch {
 }
 
 func putTreeScratch(s *treeScratch) {
-	s.sorter.col, s.sorter.order = nil, nil
 	for f := range s.colref {
 		s.colref[f] = nil // drop frame-column aliases
 	}
@@ -116,18 +98,23 @@ func (s *treeScratch) nextStamp() int32 {
 	return s.stamp
 }
 
-// ensureSorted builds the presorted index list of feature f on first use.
-// The sort is deterministic (pdqsort on a fixed input), so the presorted
+// ensureSorted builds the presorted index list of feature f on first use,
+// sorting (value, index) keys with sortKeys and keeping the indices. The
+// sort is deterministic (pdqsort on a fixed input), so the presorted
 // order — and everything derived from it — replays identically across
 // runs.
 func (s *treeScratch) ensureSorted(f int) []int32 {
 	sorted := s.sorted[f*s.n : (f+1)*s.n]
 	if !s.sortedBuilt[f] {
-		for i := range sorted {
-			sorted[i] = int32(i)
+		keys := s.keys[:s.n]
+		col := s.col(f)
+		for i := range keys {
+			keys[i] = sortKey{key: col[i], idx: int32(i)}
 		}
-		s.sorter.col, s.sorter.order = s.col(f), sorted
-		sort.Sort(&s.sorter)
+		sortKeys(keys)
+		for k, e := range keys {
+			sorted[k] = e.idx
+		}
 		s.sortedBuilt[f] = true
 	}
 	return sorted
@@ -143,6 +130,13 @@ func sizedF64(buf []float64, n int) []float64 {
 func sizedI32(buf []int32, n int) []int32 {
 	if cap(buf) < n {
 		return make([]int32, n)
+	}
+	return buf[:n]
+}
+
+func sizedKeys(buf []sortKey, n int) []sortKey {
+	if cap(buf) < n {
+		return make([]sortKey, n)
 	}
 	return buf[:n]
 }

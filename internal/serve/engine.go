@@ -103,6 +103,9 @@ type Stats struct {
 	QueueLen     int
 	Now          time.Duration
 	KWh          float64
+	// JournalDropped counts failed journal operations (see
+	// Journal.Dropped); 0 when no journal is attached.
+	JournalDropped int
 }
 
 // Submitted reports the total requests resolved so far.
@@ -200,6 +203,9 @@ func (e *Engine) Stats() Stats {
 	s.QueueLen = len(e.queue)
 	s.Now = e.now
 	s.KWh = e.tracker.TotalKWh()
+	if e.journal != nil {
+		s.JournalDropped = e.journal.Dropped()
+	}
 	return s
 }
 

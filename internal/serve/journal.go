@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"strconv"
 	"time"
@@ -17,9 +18,21 @@ import (
 // line; Replay truncates a torn tail and skips-and-counts interior
 // damage, so a restarted daemon can account for everything the previous
 // incarnation durably resolved.
+//
+// Like the Engine that appends to it, a Journal is not safe for
+// concurrent use.
 type Journal struct {
-	f *os.File
+	f journalFile
 	w *bufio.Writer
+	// dropped counts failed journal operations; see Dropped.
+	dropped int
+}
+
+// journalFile is the journal's backing store: an *os.File in production.
+type journalFile interface {
+	io.Writer
+	Sync() error
+	Close() error
 }
 
 // journalHeader is the first line, binding the file to its format
@@ -48,7 +61,7 @@ func NewJournal(path, model string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: creating journal: %w", err)
 	}
-	j := &Journal{f: f, w: bufio.NewWriter(f)}
+	j := newJournal(f)
 	hdr, err := json.Marshal(journalHeader{Version: journalVersion, Model: model})
 	if err != nil {
 		f.Close()
@@ -61,9 +74,14 @@ func NewJournal(path, model string) (*Journal, error) {
 	return j, nil
 }
 
-// Append journals one resolution. Write errors are deliberately not
-// fatal to serving — a full disk must not take the daemon down — but the
-// line is either fully framed or torn, never silently mangled.
+func newJournal(f journalFile) *Journal {
+	return &Journal{f: f, w: bufio.NewWriter(f)}
+}
+
+// Append journals one resolution. Marshal and write errors are
+// deliberately not fatal to serving — a full disk must not take the
+// daemon down — but they are counted (see Dropped), and the line is
+// either fully framed or torn, never silently mangled.
 func (j *Journal) Append(r *Response) {
 	rec := JournalRecord{
 		ID:        r.ID,
@@ -76,19 +94,33 @@ func (j *Journal) Append(r *Response) {
 	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
+		j.dropped++
 		return
 	}
 	line := fmt.Appendf(nil, "%08x ", crc32.ChecksumIEEE(payload))
 	line = append(line, payload...)
 	line = append(line, '\n')
-	j.w.Write(line)
+	if _, err := j.w.Write(line); err != nil {
+		j.dropped++
+	}
 }
 
-// Flush pushes buffered lines to the OS and syncs the file.
+// Flush pushes buffered lines to the OS and syncs the file. A failed
+// flush or sync is counted in Dropped.
 func (j *Journal) Flush() {
-	j.w.Flush()
-	j.f.Sync()
+	if err := j.w.Flush(); err != nil {
+		j.dropped++
+	}
+	if err := j.f.Sync(); err != nil {
+		j.dropped++
+	}
 }
+
+// Dropped reports how many journal operations have failed: a record that
+// could not be marshalled or written, or a flush or sync that failed.
+// Buffered lines lost to one failed flush count once, as that flush. A
+// nonzero count means the on-disk ledger may be short of the tracker's.
+func (j *Journal) Dropped() int { return j.dropped }
 
 // Close flushes and closes the journal.
 func (j *Journal) Close() error {

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -108,6 +110,9 @@ func TestJournalEngineIntegration(t *testing.T) {
 		e.Submit(Request{ID: uint64(i), Row: []float64{float64(i % 2)}, Arrival: time.Duration(i) * 100 * time.Microsecond})
 	}
 	e.Drain(time.Second)
+	if got := e.Stats().JournalDropped; got != 0 {
+		t.Fatalf("healthy journal reports %d dropped operations", got)
+	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,4 +128,79 @@ func TestJournalEngineIntegration(t *testing.T) {
 	if got := e.Tracker().Joules(energy.Inference); got != rep.TotalJoules() {
 		t.Fatalf("journal ledger %v J, tracker %v J", rep.TotalJoules(), got)
 	}
+}
+
+// failingFile is a journal backing store whose every write and sync fails,
+// like a full or yanked disk.
+type failingFile struct{ writes, syncs int }
+
+var errDiskGone = errors.New("disk gone")
+
+func (f *failingFile) Write([]byte) (int, error) { f.writes++; return 0, errDiskGone }
+func (f *failingFile) Sync() error               { f.syncs++; return errDiskGone }
+func (f *failingFile) Close() error              { return nil }
+
+func TestJournalCountsWriteAndSyncErrors(t *testing.T) {
+	f := &failingFile{}
+	j := newJournal(f)
+	r := Response{ID: 1, Outcome: Served, Joules: 0.5}
+	// One short line fits the write buffer, so nothing has failed yet.
+	j.Append(&r)
+	if got := j.Dropped(); got != 0 {
+		t.Fatalf("buffered append counted %d drops", got)
+	}
+	// The flush reaches the failing file, and so does the sync.
+	j.Flush()
+	if got := j.Dropped(); got != 2 || f.writes == 0 || f.syncs != 1 {
+		t.Fatalf("after flush: dropped %d (want 2), %d writes, %d syncs", got, f.writes, f.syncs)
+	}
+	// The buffer keeps its write error, so every later append fails too.
+	j.Append(&r)
+	if got := j.Dropped(); got != 3 {
+		t.Fatalf("append after a failed flush: dropped %d, want 3", got)
+	}
+}
+
+func TestJournalCountsMarshalErrors(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "serve.journal")
+	j, err := NewJournal(path, "unit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// JSON has no NaN, so this record cannot be marshalled.
+	j.Append(&Response{ID: 1, Outcome: Failed, Joules: math.NaN()})
+	j.Append(&Response{ID: 2, Outcome: Served, Joules: 0.25})
+	if got := j.Dropped(); got != 1 {
+		t.Fatalf("dropped %d, want 1", got)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReplayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Records) != 1 || rep.Records[0].ID != 2 {
+		t.Fatalf("replayed %+v, want only record 2", rep.Records)
+	}
+}
+
+// TestEngineSurfacesJournalDrops checks that a failing journal neither
+// stops serving nor moves the tracker, and that Stats reports its drops.
+func TestEngineSurfacesJournalDrops(t *testing.T) {
+	e := testEngine(t, &scriptedPredictor{classes: 2}, Config{BatchWindow: time.Millisecond})
+	e.SetJournal(newJournal(&failingFile{}))
+	var resps []Response
+	for i := 0; i < 8; i++ {
+		resps = append(resps, e.Submit(Request{ID: uint64(i), Row: []float64{float64(i % 2)}, Arrival: time.Duration(i) * 100 * time.Microsecond})...)
+	}
+	resps = append(resps, e.Drain(time.Second)...)
+	st := e.Stats()
+	if st.Count(Served) != 8 {
+		t.Fatalf("served %d of 8 requests", st.Count(Served))
+	}
+	if st.JournalDropped == 0 {
+		t.Fatal("failing journal reported no dropped operations")
+	}
+	checkConservation(t, e, resps)
 }
