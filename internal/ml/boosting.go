@@ -76,13 +76,19 @@ func (b *BoostingClassifier) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) 
 	b.rounds = b.rounds[:0]
 	proba := make([]float64, b.classes)
 	targets := make([]float64, n)
+	// Residual columns are rewritten in full every round.
+	residuals := make([][]float64, b.classes) //greenlint:allow rowmajor per-class residual columns - columnar
+	for k := range residuals {
+		residuals[k] = make([]float64, n)
+	}
+	// Every tree of a round fits the same view, and without subsampling
+	// every round does: the view's root presort is built once per view,
+	// before the class loop, and shared read-only by its trees.
+	var presort *keyPresort
+	defer func() { presort.release() }()
 	for r := 0; r < p.Rounds; r++ {
 		roundTrees := make([]*TreeRegressor, b.classes)
 		// Residuals for every class under current logits.
-		residuals := make([][]float64, b.classes) //greenlint:allow rowmajor per-class residual columns - columnar
-		for k := range residuals {
-			residuals[k] = make([]float64, n)
-		}
 		for i := 0; i < n; i++ {
 			copy(proba, logits[i])
 			softmaxInPlace(proba)
@@ -106,6 +112,10 @@ func (b *BoostingClassifier) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) 
 			useIdx = rng.Perm(n)[:m]
 			fitView = ds.Select(useIdx)
 		}
+		if r == 0 || useIdx != nil {
+			presort.release()
+			presort = newKeyPresort(fitView)
+		}
 
 		for k := 0; k < b.classes; k++ {
 			tree := NewTreeRegressor(p.Tree)
@@ -117,7 +127,9 @@ func (b *BoostingClassifier) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) 
 					t[j] = residuals[k][i]
 				}
 			}
+			tree.presort = presort
 			c, err := tree.FitReg(fitView, t, rng)
+			tree.presort = nil
 			cost.Add(c) // partial cost of a failed fit is still compute spent
 			if err != nil {
 				return cost, fmt.Errorf("ml: boosting round %d class %d: %w", r, k, err)

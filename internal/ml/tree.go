@@ -70,10 +70,13 @@ type treeNode struct {
 // The fit path is allocation-free on a per-node basis: features live in a
 // pooled column-major cache, node sample indices occupy ranges of one
 // shared buffer that split partitioning rearranges in place, and split
-// scoring works off presorted per-feature index lists (built lazily) or a
-// reusable (value, index) key scratch sorted by sortKeys. The rewrite is
-// bit-compatible with the original per-split sort.Slice kernel: identical
-// trees, identical RNG consumption and identical Cost, so the
+// scoring reads each candidate feature's node keys in sorted order from
+// one of three sources (see orderByFeature): classification filters a
+// lazily presorted full column, regression reads a presorted key
+// segment that each split partitions stably into its children, and
+// what neither covers is sorted per node by sortKeys. The kernel is
+// bit-compatible with the original per-split sort.Slice kernel:
+// identical trees, identical RNG consumption and identical Cost, so the
 // virtual-clock energy accounting of every consumer (forests, AdaBoost,
 // gradient boosting, TPOT pipelines, the BO surrogate) is unchanged.
 type treeCore struct {
@@ -108,6 +111,9 @@ type treeTask struct {
 	v tabular.View
 	y []int     // classification labels, view-local; gathered lazily if nil
 	t []float64 // regression targets, view-local
+	// presort is v's shared root presort (regression only); nil makes
+	// the fit build its own.
+	presort *keyPresort
 }
 
 func (tc *treeCore) fit(task treeTask, rng *rand.Rand) error {
@@ -124,7 +130,8 @@ func (tc *treeCore) fit(task treeTask, rng *rand.Rand) error {
 	tc.nodes = tc.nodes[:0]
 	tc.cost = Cost{}
 
-	s := getTreeScratch(n, d, max(tc.classes, 1), !task.v.Contiguous())
+	segments := tc.classes == 0 && !p.RandomThreshold
+	s := getTreeScratch(n, d, max(tc.classes, 1), !task.v.Contiguous(), segments)
 	tc.scratch = s
 	defer func() {
 		tc.scratch = nil
@@ -167,8 +174,33 @@ func (tc *treeCore) fit(task treeTask, rng *rand.Rand) error {
 	for i := range s.idx {
 		s.idx[i] = int32(i)
 	}
+	if segments {
+		tc.presortSegments(task)
+	}
 	tc.build(task, 0, n, 0, rng)
 	return nil
+}
+
+// presortSegments sets up the regression key-segment store: the root
+// presort is the task's shared presort when it has one, else it is
+// built here into seg from the working columns. The root's index range
+// is the identity order presortColumn sorts from, so each column's root
+// presort is exactly the keys the root's own sort would leave. A view
+// that repeats rows gets no store and every node sorts as before.
+func (tc *treeCore) presortSegments(task treeTask) {
+	s := tc.scratch
+	if ps := task.presort; ps != nil {
+		s.root = ps.keys
+		copy(s.tieFree, ps.tieFree)
+		return
+	}
+	if s.seen.repeats(task.v) {
+		return
+	}
+	for f := range s.tieFree {
+		s.tieFree[f] = presortColumn(s.seg[f*s.n:(f+1)*s.n], s.col(f), nil)
+	}
+	s.root = s.seg
 }
 
 // build grows the subtree over the index range scratch.idx[lo:hi) and
@@ -220,24 +252,34 @@ func (tc *treeCore) build(task treeTask, lo, hi, depth int, rng *rand.Rand) int3
 	// samples compact forward, right-going ones spill to scratch and are
 	// copied back behind them. Stability keeps every node's index order
 	// equal to the historical append-based partition, which leaf
-	// statistics' floating-point accumulation order depends on.
+	// statistics' floating-point accumulation order depends on. Each
+	// row's side is also recorded for partitionSegments.
 	col := s.col(feature)
 	nl := lo
 	nr := 0
 	for k := lo; k < hi; k++ {
 		i := s.idx[k]
-		if col[i] <= threshold {
+		left := col[i] <= threshold
+		if left {
 			s.idx[nl] = i
 			nl++
 		} else {
 			s.part[nr] = i
 			nr++
 		}
+		if s.root != nil {
+			s.side[i] = left
+		}
 	}
 	copy(s.idx[nl:hi], s.part[:nr])
 	tc.cost.Tree += float64(m)
 	if nl-lo < p.MinSamplesLeaf || nr < p.MinSamplesLeaf {
 		return tc.push(node)
+	}
+	// Children that cannot split never read their segments.
+	minSplit := max(p.MinSamplesSplit, 2*p.MinSamplesLeaf)
+	if s.root != nil && depth+1 < p.MaxDepth && (nl-lo >= minSplit || nr >= minSplit) {
+		tc.partitionSegments(lo, nl, hi)
 	}
 
 	node.feature = feature
@@ -248,6 +290,37 @@ func (tc *treeCore) build(task treeTask, lo, hi, depth int, rng *rand.Rand) int3
 	tc.nodes[self].left = left
 	tc.nodes[self].right = right
 	return self
+}
+
+// partitionSegments splits each tie-free column's key segment of node
+// [lo,hi) into its children [lo,mid) and [mid,hi), stably, by the side
+// the index partition recorded for each row. A stable partition of a
+// sorted segment leaves both halves sorted, so each child's segment is
+// again exactly the keys its own sort would leave: O(m) per column
+// instead of O(m log m). The root reads the (possibly shared) root
+// presort and writes seg; every other node partitions seg in place.
+//
+//greenlint:hotpath per-node segment partition; spills into the treeScratch keys buffer
+func (tc *treeCore) partitionSegments(lo, mid, hi int) {
+	s := tc.scratch
+	spill := s.keys[:hi-mid]
+	for f, tieFree := range s.tieFree {
+		if !tieFree {
+			continue
+		}
+		dst := s.seg[f*s.n+lo : f*s.n+hi]
+		nl, nr := 0, 0
+		for _, e := range s.segment(f, lo, hi) {
+			if s.side[e.idx] {
+				dst[nl] = e
+				nl++
+			} else {
+				spill[nr] = e
+				nr++
+			}
+		}
+		copy(dst[nl:], spill[:nr])
+	}
 }
 
 func (tc *treeCore) push(n treeNode) int32 {
@@ -307,12 +380,21 @@ func (tc *treeCore) findSplit(task treeTask, lo, hi int, rng *rand.Rand) (featur
 	return feature, threshold, ok
 }
 
-// orderByFeature fills the keys scratch with the node's (value, index)
-// pairs ordered by feature f. It returns ok = false without ordering
-// anything when f is constant over the node: the split scan skips every
-// position whose neighbouring values are equal, so a constant feature
-// can never yield a split, and findSplit has already charged its Cost.
-// Two paths produce the order:
+// orderByFeature returns the node's (value, index) pairs ordered by
+// feature f. It returns ok = false without ordering anything when f is
+// constant over the node: the split scan skips every position whose
+// neighbouring values are equal, so a constant feature can never yield
+// a split, and findSplit has already charged its Cost. Three paths
+// produce the order:
+//
+//   - Key segment (regression): a tie-free column's segment at any node,
+//     and any column's segment at the root (only the root spans all n
+//     rows). Each is exactly what sortKeys leaves on the node's keys —
+//     distinct keys have one ascending order, and the root presort
+//     sorted the root's own start order — so the float prefix sums keep
+//     their bits. Endpoints that differ prove the column varies; any
+//     other segment is checked by the same loop as the direct path,
+//     which is what decides NaN and constant columns.
 //
 //   - Presorted filter (classification only): scan the lazily built
 //     full-column presorted index list and keep the node's members —
@@ -321,22 +403,36 @@ func (tc *treeCore) findSplit(task treeTask, lo, hi int, rng *rand.Rand) (featur
 //     irrelevant for classification: class counts are integer-valued (so
 //     accumulation order cannot change them) and gains are evaluated only
 //     at boundaries between distinct feature values, where the cumulative
-//     counts depend on the sample set alone.
+//     counts depend on the sample set alone. A column holding a NaN is
+//     not filtered (see ensureSorted).
 //
-//   - Direct sortKeys on the node's keys. sortKeys is pdqsort specialised
-//     to sortKey, and leaves exactly the permutation sort.Sort (and the
-//     historical sort.Slice call) leaves, ties included. Regression always
-//     takes this path: its prefix sums accumulate floats in sorted order,
-//     so tie order changes the bits of candidate gains.
+//   - Direct sortKeys on the node's keys in the scratch. sortKeys is
+//     pdqsort specialised to sortKey, and leaves exactly the permutation
+//     sort.Sort (and the historical sort.Slice call) leaves, ties
+//     included. Tied regression columns below the root take this path:
+//     their prefix sums accumulate floats in sorted order, so tie order
+//     changes the bits of candidate gains.
 //
-//greenlint:hotpath per-node candidate ordering; both paths reuse treeScratch buffers
+//greenlint:hotpath per-node candidate ordering; every path reuses treeScratch buffers
 func (tc *treeCore) orderByFeature(lo, hi, f int) (keys []sortKey, ok bool) {
 	s := tc.scratch
 	m := hi - lo
-	keys = s.keys[:m]
 	col := s.col(f)
 	idx := s.idx[lo:hi]
 	first := col[idx[0]]
+	if s.root != nil && (m == s.n || s.tieFree[f]) {
+		keys = s.segment(f, lo, hi)
+		if keys[0].key != keys[m-1].key {
+			return keys, true
+		}
+		for _, i := range idx {
+			if col[i] != first {
+				return keys, true
+			}
+		}
+		return nil, false
+	}
+	keys = s.keys[:m]
 	varies := false
 	if tc.classes > 0 && m*ceilLog2(m) > s.n {
 		st := s.nextStamp()
@@ -347,14 +443,16 @@ func (tc *treeCore) orderByFeature(lo, hi, f int) (keys []sortKey, ok bool) {
 		if !varies {
 			return nil, false
 		}
-		k := 0
-		for _, i := range s.ensureSorted(f) {
-			if s.nodeStamp[i] == st {
-				keys[k] = sortKey{key: col[i], idx: i}
-				k++
+		if sorted := s.ensureSorted(f); sorted != nil {
+			k := 0
+			for _, i := range sorted {
+				if s.nodeStamp[i] == st {
+					keys[k] = sortKey{key: col[i], idx: i}
+					k++
+				}
 			}
+			return keys, true
 		}
-		return keys, true
 	}
 	for k, i := range idx {
 		v := col[i]
@@ -637,6 +735,9 @@ type TreeRegressor struct {
 	Params TreeParams
 	core   treeCore
 	fitted bool
+	// presort, when set, is the fit view's shared root presort; the
+	// owner (gradient boosting) sets it for one FitReg call.
+	presort *keyPresort
 }
 
 // NewTreeRegressor constructs a regression tree with the given parameters.
@@ -650,7 +751,7 @@ func (t *TreeRegressor) FitReg(x tabular.View, y []float64, rng *rand.Rand) (Cos
 		return Cost{}, fmt.Errorf("ml: regression tree: %d rows but %d targets", x.Rows(), len(y))
 	}
 	t.core = treeCore{params: t.Params}
-	if err := t.core.fit(treeTask{v: x, t: y}, rng); err != nil {
+	if err := t.core.fit(treeTask{v: x, t: y, presort: t.presort}, rng); err != nil {
 		return Cost{}, err
 	}
 	t.fitted = true

@@ -171,3 +171,67 @@ func BenchmarkHistGBTFit(b *testing.B) {
 		}
 	}
 }
+
+// gridShaped builds a classification dataset shaped like the grid's
+// preprocessed tables: continuous (tie-free) columns next to one-hot
+// indicator groups and binary flags.
+func gridShaped(n, classes int, seed uint64) *tabular.Dataset {
+	r := rand.New(rand.NewPCG(seed, 0x9d))
+	const continuous, groups, width, flags = 8, 3, 4, 4
+	ds := &tabular.Dataset{Name: "gridshaped", Classes: classes}
+	for i := 0; i < n; i++ {
+		c := i % classes
+		row := make([]float64, 0, continuous+groups*width+flags)
+		for j := 0; j < continuous; j++ {
+			row = append(row, r.NormFloat64()+0.4*float64(c*(j%3)))
+		}
+		for g := 0; g < groups; g++ {
+			hot := (c + r.IntN(width)) % width
+			for k := 0; k < width; k++ {
+				v := 0.0
+				if k == hot {
+					v = 1
+				}
+				row = append(row, v)
+			}
+		}
+		for f := 0; f < flags; f++ {
+			row = append(row, float64(r.IntN(2)))
+		}
+		ds.X = append(ds.X, row)
+		ds.Y = append(ds.Y, c)
+	}
+	return ds
+}
+
+// BenchmarkBoostingFit measures a gradient-boosting fit at the search
+// space's default configuration (40 rounds, learning rate 0.1, depth 3,
+// no subsampling): one regression tree per class per round.
+func BenchmarkBoostingFit(b *testing.B) {
+	ds := gridShaped(600, 3, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := NewBoostingClassifier(BoostingParams{Rounds: 40, LearningRate: 0.1, Tree: TreeParams{MaxDepth: 3}})
+		if _, err := g.Fit(ds.View(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkForestRegressorFit measures the Bayesian-optimization
+// surrogate: a 20-tree bootstrap forest over a short history of
+// configuration vectors. Bootstrap views repeat rows, so this is the
+// regression path that keeps sorting every node.
+func BenchmarkForestRegressorFit(b *testing.B) {
+	ds := benchDataset(80, 10, 2, 3)
+	y := benchRegTargets(ds)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := NewForestRegressor(ForestParams{Trees: 20, Bootstrap: true, Tree: TreeParams{MaxDepth: 12, MinSamplesLeaf: 1, MaxFeatures: 0.8}})
+		if _, err := f.FitReg(ds.View(), y, rand.New(rand.NewPCG(9, 0x11))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
