@@ -1,31 +1,27 @@
 package bench
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"os"
-	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/atomicio"
 	"repro/internal/automl"
 )
 
 // Journal checkpoints completed grid cells as JSON lines so an
 // interrupted run resumes instead of restarting. The first line is a
 // header binding the journal to a grid fingerprint and a format
-// version; every following line is one Record, flushed and synced as
-// soon as its cell completes. Version 2 (the current format) prefixes
-// each record line with a CRC32 of its payload, which lets replay tell
-// mid-file corruption apart from the torn trailing line of a kill
-// mid-write: a torn tail is truncated and its cell rerun, while a
-// damaged line with intact checkpoints after it is skipped and counted
-// instead of silently costing every later checkpoint. Version 1
-// journals (no CRC) are still read and appended to in their own format.
+// version; every following line is one Record, framed by the atomicio
+// line-journal codec and synced as soon as its cell completes. The
+// per-line CRC lets replay tell mid-file corruption apart from the torn
+// trailing line of a kill mid-write: a torn tail is truncated and its
+// cell rerun, while a damaged line is skipped and counted instead of
+// silently costing every later checkpoint.
 // Appends and lookups are safe for concurrent use: parallel grid
 // workers checkpoint cells as they finish, so the on-disk line order may
 // differ from grid order — replay keys records by cell identity, not
@@ -33,8 +29,8 @@ import (
 type Journal struct {
 	mu        sync.Mutex
 	f         *os.File
-	version   int
 	done      map[string]Record
+	line      []byte // Append's encode buffer, reused under mu
 	appends   int
 	discarded int
 	// crash, when set, is consulted at the deterministic crash points of
@@ -71,10 +67,7 @@ type journalHeader struct {
 	Shard string `json:"shard,omitempty"`
 }
 
-const (
-	journalVersionV1 = 1
-	journalVersion   = 2
-)
+const journalVersion = 2
 
 // cellID is the journal key of one grid cell.
 func cellID(system, dataset string, budget time.Duration, seed uint64) string {
@@ -109,9 +102,7 @@ func Fingerprint(systems []automl.System, cfg Config) string {
 // OpenJournal opens (or creates) the run journal at path. An existing
 // journal must carry the same fingerprint — resuming against a different
 // grid configuration is an error, not a silent merge. Damaged
-// checkpoint lines are reported to stderr (their cells simply rerun);
-// a v1 journal with intact checkpoints after the damage refuses to
-// open rather than silently truncating them.
+// checkpoint lines are reported to stderr (their cells simply rerun).
 func OpenJournal(path, fingerprint string) (*Journal, error) {
 	return openJournal(path, fingerprint, ShardSpec{})
 }
@@ -137,104 +128,28 @@ func openJournal(path, fingerprint string, shard ShardSpec) (*Journal, error) {
 	return j, nil
 }
 
-// journalState is a parsed journal: the header, every intact record in
-// line order, the count of damaged lines, and the append offset at the
-// end of the last kept line. parseJournal produces it without touching
-// the file, so both resume (replay) and merge (LoadJournal) decode the
-// format exactly once.
+// journalState is a parsed journal: its header plus the codec's intact
+// records, damage count and append offset. parseJournal produces it
+// without touching the file, so both resume (replay) and merge
+// (LoadJournal) decode the format exactly once.
 type journalState struct {
-	header  journalHeader
-	records []Record
-	damaged int
-	end     int64
+	header journalHeader
+	atomicio.JournalImage[Record]
 }
 
-// parseJournal decodes a journal image: header line, then record lines,
-// with a final segment lacking '\n' treated as the torn tail of an
-// interrupted write (not decoded, not counted as damage). Damaged
-// complete lines are handled per format version: v2 lines carry a CRC,
-// so a damaged line is confidently skipped and counted while every
-// intact line before and after it is kept; v1 lines cannot distinguish
-// corruption from a format break, so damage followed by intact
-// checkpoints is an error — truncating would silently discard completed
-// work — and damage at the very end is treated as the historical torn
-// tail.
+// parseJournal decodes a journal image with the atomicio line-journal
+// codec and checks its header version.
 func parseJournal(data []byte) (*journalState, error) {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("bench: corrupt journal header: no complete header line")
-	}
-	st := &journalState{}
-	if err := json.Unmarshal(data[:nl+1], &st.header); err != nil {
+	img, err := atomicio.ParseJournal[Record](data)
+	if err != nil {
 		return nil, fmt.Errorf("bench: corrupt journal header: %w", err)
 	}
-	if st.header.Version != journalVersionV1 && st.header.Version != journalVersion {
-		return nil, fmt.Errorf("bench: journal version %d, want %d (or legacy %d)", st.header.Version, journalVersion, journalVersionV1)
+	st := &journalState{JournalImage: img}
+	if err := json.Unmarshal(img.Header, &st.header); err != nil {
+		return nil, fmt.Errorf("bench: corrupt journal header: %w", err)
 	}
-
-	body := data[nl+1:]
-	// Split into complete lines; a final segment without '\n' is the
-	// torn tail of an interrupted write.
-	var lines [][]byte
-	for len(body) > 0 {
-		i := bytes.IndexByte(body, '\n')
-		if i < 0 {
-			break // torn tail: dropped by truncating to the last kept line
-		}
-		lines = append(lines, body[:i])
-		body = body[i+1:]
-	}
-
-	type parsed struct {
-		rec Record
-		ok  bool
-	}
-	recs := make([]parsed, len(lines))
-	firstBad := -1
-	for i, line := range lines {
-		rec, ok := decodeJournalLine(st.header.Version, line)
-		recs[i] = parsed{rec: rec, ok: ok}
-		if !ok && firstBad < 0 {
-			firstBad = i
-		}
-	}
-
-	st.end = int64(nl + 1) // append offset: end of the last kept line
-	switch {
-	case st.header.Version >= journalVersion:
-		// CRC-checked lines: keep every intact record, count the damage.
-		for i, p := range recs {
-			if p.ok {
-				st.records = append(st.records, p.rec)
-			} else {
-				st.damaged++
-			}
-			st.end += int64(len(lines[i]) + 1)
-		}
-	case firstBad < 0:
-		// Clean v1 body.
-		for i, p := range recs {
-			st.records = append(st.records, p.rec)
-			st.end += int64(len(lines[i]) + 1)
-		}
-	default:
-		// Damaged v1 body: refuse to destroy intact checkpoints that
-		// follow the damage — without CRCs the safe recoveries are
-		// "tail damage, truncate" and nothing else.
-		intactAfter := 0
-		for _, p := range recs[firstBad+1:] {
-			if p.ok {
-				intactAfter++
-			}
-		}
-		if intactAfter > 0 {
-			return nil, fmt.Errorf("bench: v1 journal damaged at record line %d with %d intact checkpoint(s) after it — refusing to truncate completed work; remove or repair the journal (v2 journals skip damaged lines)", firstBad+1, intactAfter)
-		}
-		for i, p := range recs[:firstBad] {
-			st.records = append(st.records, p.rec)
-			st.end += int64(len(lines[i]) + 1)
-		}
-		st.damaged = len(recs) - firstBad
+	if st.header.Version != journalVersion {
+		return nil, fmt.Errorf("bench: journal version %d, want %d", st.header.Version, journalVersion)
 	}
 	return st, nil
 }
@@ -248,9 +163,8 @@ func (j *Journal) replay(fingerprint string, shard ShardSpec) error {
 		return fmt.Errorf("bench: reading journal: %w", err)
 	}
 	if len(data) == 0 {
-		// Fresh journal: write the current-version header.
-		j.version = journalVersion
-		hdr, err := json.Marshal(journalHeader{Version: j.version, Fingerprint: fingerprint, Shard: shard.String()})
+		// Fresh journal: write the header.
+		hdr, err := json.Marshal(journalHeader{Version: journalVersion, Fingerprint: fingerprint, Shard: shard.String()})
 		if err != nil {
 			return fmt.Errorf("bench: encoding journal header: %w", err)
 		}
@@ -270,59 +184,17 @@ func (j *Journal) replay(fingerprint string, shard ShardSpec) error {
 	if st.header.Shard != shard.String() {
 		return fmt.Errorf("bench: journal shard %q does not match requested shard %q — refusing to resume a different shard assignment", st.header.Shard, shard.String())
 	}
-	j.version = st.header.Version
-	j.discarded = st.damaged
-	for _, rec := range st.records {
+	j.discarded = st.Damaged
+	for _, rec := range st.Records {
 		j.done[cellID(rec.System, rec.Dataset, rec.Budget, rec.Seed)] = rec
 	}
-	if err := j.f.Truncate(st.end); err != nil {
+	if err := j.f.Truncate(st.End); err != nil {
 		return fmt.Errorf("bench: truncating damaged journal tail: %w", err)
 	}
-	if _, err := j.f.Seek(st.end, io.SeekStart); err != nil {
+	if _, err := j.f.Seek(st.End, io.SeekStart); err != nil {
 		return fmt.Errorf("bench: seeking journal: %w", err)
 	}
 	return nil
-}
-
-// decodeJournalLine parses one complete record line in the given format
-// version. For v2, the line is "<crc32-hex8> <json>" and both the
-// checksum and the JSON must verify.
-func decodeJournalLine(version int, line []byte) (Record, bool) {
-	var rec Record
-	payload := line
-	if version >= journalVersion {
-		if len(line) < 10 || line[8] != ' ' {
-			return Record{}, false
-		}
-		want, err := strconv.ParseUint(string(line[:8]), 16, 32)
-		if err != nil {
-			return Record{}, false
-		}
-		payload = line[9:]
-		if crc32.ChecksumIEEE(payload) != uint32(want) {
-			return Record{}, false
-		}
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return Record{}, false
-	}
-	return rec, true
-}
-
-// encodeJournalLine renders one record line (trailing newline included)
-// in the journal's format version.
-func (j *Journal) encodeJournalLine(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("bench: encoding journal record: %w", err)
-	}
-	if j.version >= journalVersion {
-		line := make([]byte, 0, len(payload)+10)
-		line = fmt.Appendf(line, "%08x ", crc32.ChecksumIEEE(payload))
-		line = append(line, payload...)
-		return append(line, '\n'), nil
-	}
-	return append(payload, '\n'), nil
 }
 
 // Lookup returns the checkpointed record for a cell, if present.
@@ -340,8 +212,8 @@ func (j *Journal) Len() int {
 	return len(j.done)
 }
 
-// Discarded reports how many damaged checkpoint lines replay skipped
-// (v2) or dropped as tail damage (v1). The affected cells rerun.
+// Discarded reports how many damaged checkpoint lines replay skipped.
+// The affected cells rerun.
 func (j *Journal) Discarded() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -353,10 +225,12 @@ func (j *Journal) Discarded() int {
 func (j *Journal) Append(rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	line, err := j.encodeJournalLine(rec)
+	payload, err := json.Marshal(rec)
 	if err != nil {
-		return err
+		return fmt.Errorf("bench: encoding journal record: %w", err)
 	}
+	j.line = atomicio.AppendJournalLine(j.line[:0], payload)
+	line := j.line
 	seq := j.appends
 	if j.crash != nil {
 		if err := j.crash(crashAppendStart, seq, j.f, line); err != nil {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -113,13 +114,17 @@ func tinyCfg() Config {
 	return cfg
 }
 
-// writeV1Journal renders a legacy (pre-CRC) journal: a version-1 header
-// followed by plain JSON record lines and any extra raw lines.
-func writeV1Journal(t *testing.T, path, fingerprint string, recs []Record, extra ...string) {
-	t.Helper()
+// TestJournalRefusesV1: the pre-CRC version-1 format is no longer
+// read. Opening such a journal is refused by the version check, and the
+// refusal leaves the file's bytes untouched.
+func TestJournalRefusesV1(t *testing.T) {
+	cfg := tinyCfg()
+	want := RunGrid(chaosSystems(), cfg)
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	fingerprint := Fingerprint(chaosSystems(), cfg)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, `{"version":1,"fingerprint":%q}`+"\n", fingerprint)
-	for _, rec := range recs {
+	for _, rec := range want[:2] {
 		line, err := json.Marshal(rec)
 		if err != nil {
 			t.Fatal(err)
@@ -127,100 +132,25 @@ func writeV1Journal(t *testing.T, path, fingerprint string, recs []Record, extra
 		sb.Write(line)
 		sb.WriteByte('\n')
 	}
-	for _, raw := range extra {
-		sb.WriteString(raw)
-	}
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+	v1 := []byte(sb.String())
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestJournalV1StillReadable pins backwards compatibility: a legacy
-// journal resumes, and new appends stay in the legacy format — plain
-// JSON lines, no CRC prefix — so the file remains self-consistent.
-func TestJournalV1StillReadable(t *testing.T) {
-	cfg := tinyCfg()
-	want := RunGrid(chaosSystems(), cfg)
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	writeV1Journal(t, path, Fingerprint(chaosSystems(), cfg), want[:2])
-
-	got, err := RunGridResumable(chaosSystems(), cfg, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("resume from a v1 journal differs from a plain run")
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	if len(lines) != 1+len(want) {
-		t.Fatalf("v1 journal has %d lines, want header + %d records", len(lines), len(want))
-	}
-	for i, line := range lines[1:] {
-		if !strings.HasPrefix(line, "{") {
-			t.Fatalf("record line %d of a v1 journal is not plain JSON: %q", i+1, line)
-		}
-	}
-}
-
-// TestJournalV1RefusesMidFileDamage pins the bugfix: without CRCs a
-// damaged line cannot be told apart from a format break, so truncating
-// at the damage would silently destroy the intact checkpoints after it
-// — replay must refuse instead.
-func TestJournalV1RefusesMidFileDamage(t *testing.T) {
-	cfg := tinyCfg()
-	want := RunGrid(chaosSystems(), cfg)
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	fingerprint := Fingerprint(chaosSystems(), cfg)
-	writeV1Journal(t, path, fingerprint, want[:1], "garbage not json\n")
-	rest, err := json.Marshal(want[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(append(rest, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	_, err = OpenJournal(path, fingerprint)
-	if err == nil || !strings.Contains(err.Error(), "refusing to truncate") {
-		t.Fatalf("damaged v1 journal with intact checkpoints after it opened with %v, want refusal", err)
-	}
-}
-
-// TestJournalV1TailDamageTruncates: damage with nothing intact after it
-// is the historical torn-tail case — dropped, counted, and the cell
-// simply reruns.
-func TestJournalV1TailDamageTruncates(t *testing.T) {
-	cfg := tinyCfg()
-	want := RunGrid(chaosSystems(), cfg)
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	fingerprint := Fingerprint(chaosSystems(), cfg)
-	writeV1Journal(t, path, fingerprint, want[:2], "garbage not json\n")
 
 	j, err := OpenJournal(path, fingerprint)
+	if err == nil {
+		j.Close()
+		t.Fatal("a version-1 journal opened")
+	}
+	if !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("refusal %q does not name version 1", err)
+	}
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Len() != 2 || j.Discarded() != 1 {
-		t.Fatalf("kept %d records and discarded %d, want 2 and 1", j.Len(), j.Discarded())
-	}
-	j.Close()
-
-	got, err := RunGridResumable(chaosSystems(), cfg, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("resume after v1 tail damage differs from a plain run")
+	if !bytes.Equal(after, v1) {
+		t.Error("refusing a version-1 journal changed its bytes")
 	}
 }
 

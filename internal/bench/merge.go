@@ -114,11 +114,11 @@ func MergeJournalsRepo(paths []string, fingerprint string, refs []CellRef, rp *r
 		res.PerJournal = append(res.PerJournal, JournalReport{
 			Path:    path,
 			Shard:   st.header.Shard,
-			Cells:   len(st.records),
-			Damaged: st.damaged,
+			Cells:   len(st.Records),
+			Damaged: st.Damaged,
 		})
-		res.Damaged += st.damaged
-		for _, rec := range st.records {
+		res.Damaged += st.Damaged
+		for _, rec := range st.Records {
 			id := cellID(rec.System, rec.Dataset, rec.Budget, rec.Seed)
 			if prev, ok := byID[id]; ok {
 				if prev != rec {

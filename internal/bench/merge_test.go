@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/atomicio"
 	"repro/internal/faults"
 )
 
@@ -134,16 +136,17 @@ func TestMergeRejectsConflictingRecords(t *testing.T) {
 	tampered := false
 	for i, line := range lines[1:] {
 		if strings.Contains(line, `"TestScore"`) {
-			rec, ok := decodeJournalLine(journalVersion, []byte(line))
-			if !ok {
+			var rec Record
+			_, payload, _ := strings.Cut(line, " ")
+			if err := json.Unmarshal([]byte(payload), &rec); err != nil {
 				continue
 			}
 			rec.TestScore += 0.125
-			j := &Journal{version: journalVersion}
-			reline, err := j.encodeJournalLine(rec)
+			forgedPayload, err := json.Marshal(rec)
 			if err != nil {
 				t.Fatal(err)
 			}
+			reline := atomicio.AppendJournalLine(nil, forgedPayload)
 			lines[i+1] = strings.TrimSuffix(string(reline), "\n")
 			tampered = true
 			break

@@ -2,21 +2,20 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"strconv"
 	"time"
+
+	"repro/internal/atomicio"
 )
 
 // Journal is the serving layer's metering ledger on disk: one JSON line
-// per resolved request, CRC32-prefixed in the bench journal's v2 framing
-// ("<crc32-hex8> <json>"). A kill mid-write tears at most the trailing
-// line; Replay truncates a torn tail and skips-and-counts interior
-// damage, so a restarted daemon can account for everything the previous
+// per resolved request, framed by the atomicio line-journal codec that
+// the bench journal uses too. A kill mid-write tears at most the
+// trailing line; Replay drops a torn tail and skips-and-counts damaged
+// lines, so a restarted daemon can account for everything the previous
 // incarnation durably resolved.
 //
 // Like the Engine that appends to it, a Journal is not safe for
@@ -24,6 +23,8 @@ import (
 type Journal struct {
 	f journalFile
 	w *bufio.Writer
+	// line is Append's encode buffer; w.Write copies out of it.
+	line []byte
 	// dropped counts failed journal operations; see Dropped.
 	dropped int
 }
@@ -97,10 +98,8 @@ func (j *Journal) Append(r *Response) {
 		j.dropped++
 		return
 	}
-	line := fmt.Appendf(nil, "%08x ", crc32.ChecksumIEEE(payload))
-	line = append(line, payload...)
-	line = append(line, '\n')
-	if _, err := j.w.Write(line); err != nil {
+	j.line = atomicio.AppendJournalLine(j.line[:0], payload)
+	if _, err := j.w.Write(j.line); err != nil {
 		j.dropped++
 	}
 }
@@ -132,11 +131,12 @@ func (j *Journal) Close() error {
 type Replayed struct {
 	Model   string
 	Records []JournalRecord
-	// Torn reports a damaged or incomplete trailing line — the
-	// signature of a kill mid-write; it is truncated, not an error.
+	// Torn reports a trailing segment without '\n' — the signature of a
+	// kill mid-write; it is dropped, not an error, and its request is
+	// not counted as resolved.
 	Torn bool
-	// Damaged counts interior lines that failed their CRC but have
-	// intact lines after them — real corruption, skipped and counted.
+	// Damaged counts complete lines that failed their framing, CRC or
+	// JSON decode — real corruption, skipped and counted.
 	Damaged int
 }
 
@@ -151,62 +151,24 @@ func (r *Replayed) TotalJoules() float64 {
 }
 
 // ReplayJournal reads a journal back, tolerating a torn tail and
-// counting interior damage.
+// counting damaged lines.
 func ReplayJournal(path string) (*Replayed, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: reading journal: %w", err)
 	}
-	lines := bytes.Split(data, []byte("\n"))
-	// A well-formed file ends in '\n', so the final split element is
-	// empty; anything else is a torn tail candidate handled below.
-	if len(lines) == 0 || len(lines[0]) == 0 {
-		return nil, fmt.Errorf("serve: journal %s has no header", path)
+	img, err := atomicio.ParseJournal[JournalRecord](data)
+	if err != nil {
+		return nil, fmt.Errorf("serve: journal %s: %w", path, err)
 	}
 	var hdr journalHeader
-	if err := json.Unmarshal(lines[0], &hdr); err != nil {
+	if err := json.Unmarshal(img.Header, &hdr); err != nil {
 		return nil, fmt.Errorf("serve: journal %s header: %w", path, err)
 	}
 	if hdr.Version != journalVersion {
 		return nil, fmt.Errorf("serve: journal %s is version %d, this reader handles %d", path, hdr.Version, journalVersion)
 	}
-	out := &Replayed{Model: hdr.Model}
-	body := lines[1:]
-	for i, line := range body {
-		if len(line) == 0 {
-			continue
-		}
-		rec, ok := parseRecordLine(line)
-		if !ok {
-			if i == len(body)-1 || (i == len(body)-2 && len(body[len(body)-1]) == 0) {
-				out.Torn = true
-			} else {
-				out.Damaged++
-			}
-			continue
-		}
-		out.Records = append(out.Records, rec)
-	}
-	return out, nil
-}
-
-func parseRecordLine(line []byte) (JournalRecord, bool) {
-	var rec JournalRecord
-	if len(line) < 10 || line[8] != ' ' {
-		return rec, false
-	}
-	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil {
-		return rec, false
-	}
-	payload := line[9:]
-	if crc32.ChecksumIEEE(payload) != uint32(want) {
-		return rec, false
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, false
-	}
-	return rec, true
+	return &Replayed{Model: hdr.Model, Records: img.Records, Torn: img.Torn, Damaged: img.Damaged}, nil
 }
 
 // Done converts the record's resolution instant back to a duration.

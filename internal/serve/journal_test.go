@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
@@ -95,6 +96,52 @@ func TestJournalInteriorDamageSkippedAndCounted(t *testing.T) {
 	}
 	if rep.Damaged != 1 || rep.Torn || len(rep.Records) != 9 {
 		t.Fatalf("interior damage: torn %v damaged %d records %d, want false/1/9", rep.Torn, rep.Damaged, len(rep.Records))
+	}
+}
+
+// TestJournalLastLineDamageCounted: a complete final line that fails its
+// CRC is corruption, not a kill mid-write, so it is counted as damage
+// rather than reported as a torn tail.
+func TestJournalLastLineDamageCounted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "serve.journal")
+	writeTestJournal(t, path, 10)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	data[(last+len(data))/2] ^= 0x20
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReplayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Torn || rep.Damaged != 1 || len(rep.Records) != 9 {
+		t.Fatalf("last-line damage: torn %v damaged %d records %d, want false/1/9", rep.Torn, rep.Damaged, len(rep.Records))
+	}
+}
+
+// TestJournalMissingFinalNewlineIsTorn: a final line whose '\n' never
+// reached the disk is a torn write even though its payload verifies, so
+// its request does not count as resolved and is re-served.
+func TestJournalMissingFinalNewlineIsTorn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "serve.journal")
+	writeTestJournal(t, path, 10)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReplayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Torn || rep.Damaged != 0 || len(rep.Records) != 9 {
+		t.Fatalf("missing final newline: torn %v damaged %d records %d, want true/0/9", rep.Torn, rep.Damaged, len(rep.Records))
 	}
 }
 
