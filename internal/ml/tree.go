@@ -55,6 +55,12 @@ func (p TreeParams) normalized() TreeParams {
 	return p
 }
 
+// tryCount is the number of features each split scores out of d:
+// ceil(MaxFeatures·d) clamped to [1,d].
+func (p TreeParams) tryCount(d int) int {
+	return min(max(int(math.Ceil(p.MaxFeatures*float64(d))), 1), d)
+}
+
 // treeNode is one node of a fitted tree. Leaves have feature == -1.
 type treeNode struct {
 	feature     int
@@ -71,10 +77,9 @@ type treeNode struct {
 // pooled column-major cache, node sample indices occupy ranges of one
 // shared buffer that split partitioning rearranges in place, and split
 // scoring reads each candidate feature's node keys in sorted order from
-// one of three sources (see orderByFeature): classification filters a
-// lazily presorted full column, regression reads a presorted key
-// segment that each split partitions stably into its children, and
-// what neither covers is sorted per node by sortKeys. The kernel is
+// one of two sources (see orderByFeature): a presorted key segment that
+// each split partitions stably into its children, kept when every node
+// scores every feature, or a per-node sortKeys. The kernel is
 // bit-compatible with the original per-split sort.Slice kernel:
 // identical trees, identical RNG consumption and identical Cost, so the
 // virtual-clock energy accounting of every consumer (forests, AdaBoost,
@@ -112,7 +117,7 @@ type treeTask struct {
 	y []int     // classification labels, view-local; gathered lazily if nil
 	t []float64 // regression targets, view-local
 	// presort is v's shared root presort (regression only); nil makes
-	// the fit build its own.
+	// a fit that keeps segments build its own.
 	presort *keyPresort
 }
 
@@ -130,7 +135,11 @@ func (tc *treeCore) fit(task treeTask, rng *rand.Rand) error {
 	tc.nodes = tc.nodes[:0]
 	tc.cost = Cost{}
 
-	segments := tc.classes == 0 && !p.RandomThreshold
+	// Only a fit whose every node scores every feature keeps the segment
+	// store: a feature subset reads a few columns per node, and
+	// presorting and partitioning all d of them costs more than sorting
+	// the few.
+	segments := !p.RandomThreshold && p.tryCount(d) == d
 	s := getTreeScratch(n, d, max(tc.classes, 1), !task.v.Contiguous(), segments)
 	tc.scratch = s
 	defer func() {
@@ -181,24 +190,21 @@ func (tc *treeCore) fit(task treeTask, rng *rand.Rand) error {
 	return nil
 }
 
-// presortSegments sets up the regression key-segment store: the root
-// presort is the task's shared presort when it has one, else it is
-// built here into seg from the working columns. The root's index range
-// is the identity order presortColumn sorts from, so each column's root
-// presort is exactly the keys the root's own sort would leave. A view
-// that repeats rows gets no store and every node sorts as before.
+// presortSegments sets up the key-segment store: the root presort is
+// the task's shared presort when it has one, else it is built here into
+// seg from the working columns, with each column's exactness judged
+// under the task's rule. The root's index range is the identity order
+// presortColumn sorts from, so each column's root presort is exactly
+// the keys the root's own sort would leave.
 func (tc *treeCore) presortSegments(task treeTask) {
 	s := tc.scratch
 	if ps := task.presort; ps != nil {
 		s.root = ps.keys
-		copy(s.tieFree, ps.tieFree)
+		copy(s.exact, ps.exact)
 		return
 	}
-	if s.seen.repeats(task.v) {
-		return
-	}
-	for f := range s.tieFree {
-		s.tieFree[f] = presortColumn(s.seg[f*s.n:(f+1)*s.n], s.col(f), nil)
+	for f := range s.exact {
+		s.exact[f] = presortColumn(s.seg[f*s.n:(f+1)*s.n], s.col(f), nil, tc.classes > 0)
 	}
 	s.root = s.seg
 }
@@ -292,7 +298,7 @@ func (tc *treeCore) build(task treeTask, lo, hi, depth int, rng *rand.Rand) int3
 	return self
 }
 
-// partitionSegments splits each tie-free column's key segment of node
+// partitionSegments splits each exact column's key segment of node
 // [lo,hi) into its children [lo,mid) and [mid,hi), stably, by the side
 // the index partition recorded for each row. A stable partition of a
 // sorted segment leaves both halves sorted, so each child's segment is
@@ -304,8 +310,8 @@ func (tc *treeCore) build(task treeTask, lo, hi, depth int, rng *rand.Rand) int3
 func (tc *treeCore) partitionSegments(lo, mid, hi int) {
 	s := tc.scratch
 	spill := s.keys[:hi-mid]
-	for f, tieFree := range s.tieFree {
-		if !tieFree {
+	for f, exact := range s.exact {
+		if !exact {
 			continue
 		}
 		dst := s.seg[f*s.n+lo : f*s.n+hi]
@@ -333,13 +339,7 @@ func (tc *treeCore) push(n treeNode) int32 {
 func (tc *treeCore) findSplit(task treeTask, lo, hi int, rng *rand.Rand) (feature int, threshold float64, ok bool) {
 	s := tc.scratch
 	d := s.d
-	tryCount := int(math.Ceil(tc.params.MaxFeatures * float64(d)))
-	if tryCount < 1 {
-		tryCount = 1
-	}
-	if tryCount > d {
-		tryCount = d
-	}
+	tryCount := tc.params.tryCount(d)
 	features := s.perm[:d]
 	for j := range features {
 		features[j] = j
@@ -384,43 +384,38 @@ func (tc *treeCore) findSplit(task treeTask, lo, hi int, rng *rand.Rand) (featur
 // feature f. It returns ok = false without ordering anything when f is
 // constant over the node: the split scan skips every position whose
 // neighbouring values are equal, so a constant feature can never yield
-// a split, and findSplit has already charged its Cost. Three paths
+// a split, and findSplit has already charged its Cost. Two paths
 // produce the order:
 //
-//   - Key segment (regression): a tie-free column's segment at any node,
-//     and any column's segment at the root (only the root spans all n
-//     rows). Each is exactly what sortKeys leaves on the node's keys —
-//     distinct keys have one ascending order, and the root presort
-//     sorted the root's own start order — so the float prefix sums keep
-//     their bits. Endpoints that differ prove the column varies; any
-//     other segment is checked by the same loop as the direct path,
-//     which is what decides NaN and constant columns.
-//
-//   - Presorted filter (classification only): scan the lazily built
-//     full-column presorted index list and keep the node's members —
-//     O(n) instead of O(m log m), a win for large nodes. Tie order
-//     differs from the historical per-node sort, which is provably
-//     irrelevant for classification: class counts are integer-valued (so
-//     accumulation order cannot change them) and gains are evaluated only
-//     at boundaries between distinct feature values, where the cumulative
-//     counts depend on the sample set alone. A column holding a NaN is
-//     not filtered (see ensureSorted).
+//   - Key segment: an exact column's segment at any node (presortColumn
+//     gives each task's verdict), and any column's segment at the root
+//     (only the root spans all n rows), which the root presort sorted
+//     from the root's own start order. A regression segment is exactly
+//     what sortKeys leaves on the node's keys, so the float prefix sums
+//     keep their bits. A classification segment may order ties
+//     differently, which the scan cannot see: class counts are
+//     integer-valued and gains are evaluated only at boundaries between
+//     distinct feature values, where the cumulative counts depend on
+//     the sample set alone (a tied −0/+0 run meets a nonzero neighbour
+//     there, and x ± 0 is x, so the threshold keeps its bits too).
+//     Endpoints that differ prove the column
+//     varies; any other segment is checked by the same loop as the
+//     direct path, which is what decides NaN and constant columns.
 //
 //   - Direct sortKeys on the node's keys in the scratch. sortKeys is
 //     pdqsort specialised to sortKey, and leaves exactly the permutation
 //     sort.Sort (and the historical sort.Slice call) leaves, ties
-//     included. Tied regression columns below the root take this path:
-//     their prefix sums accumulate floats in sorted order, so tie order
-//     changes the bits of candidate gains.
+//     included. Fits that score a feature subset take this path at
+//     every node, the others for inexact columns below the root.
 //
-//greenlint:hotpath per-node candidate ordering; every path reuses treeScratch buffers
+//greenlint:hotpath per-node candidate ordering; both paths reuse treeScratch buffers
 func (tc *treeCore) orderByFeature(lo, hi, f int) (keys []sortKey, ok bool) {
 	s := tc.scratch
 	m := hi - lo
 	col := s.col(f)
 	idx := s.idx[lo:hi]
 	first := col[idx[0]]
-	if s.root != nil && (m == s.n || s.tieFree[f]) {
+	if s.root != nil && (m == s.n || s.exact[f]) {
 		keys = s.segment(f, lo, hi)
 		if keys[0].key != keys[m-1].key {
 			return keys, true
@@ -434,26 +429,6 @@ func (tc *treeCore) orderByFeature(lo, hi, f int) (keys []sortKey, ok bool) {
 	}
 	keys = s.keys[:m]
 	varies := false
-	if tc.classes > 0 && m*ceilLog2(m) > s.n {
-		st := s.nextStamp()
-		for _, i := range idx {
-			s.nodeStamp[i] = st
-			varies = varies || col[i] != first
-		}
-		if !varies {
-			return nil, false
-		}
-		if sorted := s.ensureSorted(f); sorted != nil {
-			k := 0
-			for _, i := range sorted {
-				if s.nodeStamp[i] == st {
-					keys[k] = sortKey{key: col[i], idx: i}
-					k++
-				}
-			}
-			return keys, true
-		}
-	}
 	for k, i := range idx {
 		v := col[i]
 		keys[k] = sortKey{key: v, idx: i}

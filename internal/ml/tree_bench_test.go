@@ -221,8 +221,8 @@ func BenchmarkBoostingFit(b *testing.B) {
 
 // BenchmarkForestRegressorFit measures the Bayesian-optimization
 // surrogate: a 20-tree bootstrap forest over a short history of
-// configuration vectors. Bootstrap views repeat rows, so this is the
-// regression path that keeps sorting every node.
+// configuration vectors. Its trees score a feature subset, so this is
+// the regression path that sorts every node.
 func BenchmarkForestRegressorFit(b *testing.B) {
 	ds := benchDataset(80, 10, 2, 3)
 	y := benchRegTargets(ds)

@@ -53,10 +53,10 @@ func equivDataset(n, d, classes int, seed uint64) *tabular.Dataset {
 // bit-identical to the preserved pre-optimization kernel: same node
 // order, features, thresholds, leaf statistics, Cost, and RNG
 // consumption, across classification and regression, exhaustive and
-// random-threshold splitting, full and subset feature sampling.
-// Regression also fits subset views: a subsample, whose tie-free columns
-// carry partitioned key segments, and a bootstrap resample, whose
-// repeated rows leave it without a segment store.
+// random-threshold splitting, full and subset feature sampling. Both
+// tasks also fit subset views: a subsample and a bootstrap resample,
+// whose repeated rows tie with themselves, so no regression column is
+// exact there while NaN-free classification columns still are.
 func TestTreeKernelMatchesLegacy(t *testing.T) {
 	params := []TreeParams{
 		{MaxDepth: 6},
@@ -70,32 +70,27 @@ func TestTreeKernelMatchesLegacy(t *testing.T) {
 	for _, classes := range []int{0, 2, 5} {
 		for pi, p := range params {
 			for seed := uint64(1); seed <= 4; seed++ {
-				name := fmt.Sprintf("classes=%d/params=%d/seed=%d", classes, pi, seed)
-				t.Run(name, func(t *testing.T) {
+				t.Run(fmt.Sprintf("classes=%d/params=%d/seed=%d", classes, pi, seed), func(t *testing.T) {
 					checkKernelMatchesLegacy(t, classes, p, seed, nil)
 				})
-			}
-		}
-	}
-	for pi, p := range params {
-		for seed := uint64(1); seed <= 4; seed++ {
-			n := 150 + int(seed)*90
-			r := rand.New(rand.NewPCG(seed, 0xb0))
-			boot := make([]int, n)
-			for i := range boot {
-				boot[i] = r.IntN(n)
-			}
-			views := []struct {
-				name string
-				rows []int
-			}{
-				{"bootstrap", boot},
-				{"subsample", r.Perm(n)[:n*3/5]},
-			}
-			for _, v := range views {
-				t.Run(fmt.Sprintf("classes=0/view=%s/params=%d/seed=%d", v.name, pi, seed), func(t *testing.T) {
-					checkKernelMatchesLegacy(t, 0, p, seed, v.rows)
-				})
+				n := 150 + int(seed)*90
+				r := rand.New(rand.NewPCG(seed, 0xb0))
+				boot := make([]int, n)
+				for i := range boot {
+					boot[i] = r.IntN(n)
+				}
+				views := []struct {
+					name string
+					rows []int
+				}{
+					{"bootstrap", boot},
+					{"subsample", r.Perm(n)[:n*3/5]},
+				}
+				for _, v := range views {
+					t.Run(fmt.Sprintf("classes=%d/view=%s/params=%d/seed=%d", classes, v.name, pi, seed), func(t *testing.T) {
+						checkKernelMatchesLegacy(t, classes, p, seed, v.rows)
+					})
+				}
 			}
 		}
 	}
@@ -157,22 +152,27 @@ func checkKernelMatchesLegacy(t *testing.T, classes int, p TreeParams, seed uint
 	}
 }
 
-// FuzzTreeRegressionMatchesLegacy fits the regression kernel and the
-// legacy oracle on small datasets drawn from a tiny value alphabet —
-// ties, NaNs, signed zeros, constant columns — and requires identical
-// nodes, Cost and RNG state. Each raw row is d feature bytes then one
-// target byte; cfg picks d, the tree parameters, the view (identity,
-// bootstrap repeats or a subsample) and whether the fit copies a shared
-// root presort, as gradient boosting's trees do. The seeds encode
-// equivDataset rows under every view and presort choice.
+// FuzzTreeRegressionMatchesLegacy fits the kernel and the legacy
+// oracle on small datasets drawn from a tiny value alphabet — ties,
+// NaNs, signed zeros, constant columns — and requires identical nodes,
+// Cost and RNG state. Despite its name it covers both tasks. Each raw
+// row is d feature bytes then one target byte; cfg picks d, the tree
+// parameters, the view (identity, bootstrap repeats or a subsample),
+// whether a regression fit copies a shared root presort, as gradient
+// boosting's trees do, and the task: regression on the target byte, or
+// 2 or 5 classes labelled by the target byte mod classes. The seeds
+// encode equivDataset rows under every task, view and presort choice,
+// regression first.
 func FuzzTreeRegressionMatchesLegacy(f *testing.F) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		ds := equivDataset(12+int(seed)*6, 6, 3, seed)
-		raw := encodeFuzzRows(ds)
-		for view := uint64(0); view < 3; view++ {
-			for shared := uint64(0); shared < 2; shared++ {
-				depth := 3 * (seed % 2) // unlimited or 3
-				f.Add(raw, 5|depth<<3|(seed%3)<<6|(seed/3)<<8|view<<9|shared<<11)
+	for task := uint64(0); task < 3; task++ {
+		for seed := uint64(1); seed <= 4; seed++ {
+			ds := equivDataset(12+int(seed)*6, 6, 3, seed)
+			raw := encodeFuzzRows(ds)
+			for view := uint64(0); view < 3; view++ {
+				for shared := uint64(0); shared < 2; shared++ {
+					depth := 3 * (seed % 2) // unlimited or 3
+					f.Add(raw, 5|depth<<3|(seed%3)<<6|(seed/3)<<8|view<<9|shared<<11|task<<12)
+				}
 			}
 		}
 	}
@@ -183,16 +183,21 @@ func FuzzTreeRegressionMatchesLegacy(f *testing.F) {
 			p.MaxFeatures = 0.5
 		}
 		view, shared := cfg>>9%4, cfg>>11&1 == 1
+		classes := []int{0, 2, 5}[cfg>>12%3]
 		n := min(len(raw)/(d+1), 48)
 		if n < 1 {
 			return
 		}
 		fr := tabular.NewFrame("fuzz", n, d)
 		targets := make([]float64, n)
+		labels := make([]int, n)
 		for i := 0; i < n; i++ {
 			row := raw[i*(d+1) : (i+1)*(d+1)]
 			for j := 0; j < d; j++ {
 				fr.Cols[j][i] = fuzzCell(row[j])
+			}
+			if classes > 0 {
+				labels[i] = int(row[d]) % classes
 			}
 			targets[i] = float64(row[d]%32)/8 - 1
 		}
@@ -208,23 +213,28 @@ func FuzzTreeRegressionMatchesLegacy(f *testing.F) {
 			rows = r.Perm(n)[:max(1, n*2/3)]
 		}
 		v := tabular.NewView(fr, rows)
-		task := treeTask{v: v, t: make([]float64, v.Rows())}
-		legacyTask := legacyTreeTask{t: task.t}
-		for i := range task.t {
-			task.t[i] = targets[v.RowIndex(i)]
+		task := treeTask{v: v}
+		var legacyTask legacyTreeTask
+		for i := 0; i < v.Rows(); i++ {
+			if classes > 0 {
+				task.y = append(task.y, labels[v.RowIndex(i)])
+			} else {
+				task.t = append(task.t, targets[v.RowIndex(i)])
+			}
 			x := make([]float64, d)
 			for j := range x {
 				x[j] = v.At(i, j)
 			}
 			legacyTask.x = append(legacyTask.x, x)
 		}
-		if shared {
+		legacyTask.y, legacyTask.t = task.y, task.t
+		if shared && classes == 0 {
 			task.presort = newKeyPresort(v)
 			defer task.presort.release()
 		}
 
-		newCore := treeCore{params: p}
-		oldCore := legacyTreeCore{params: p}
+		newCore := treeCore{params: p, classes: classes}
+		oldCore := legacyTreeCore{params: p, classes: classes}
 		rngNew := rand.New(rand.NewPCG(cfg, 0x7))
 		rngOld := rand.New(rand.NewPCG(cfg, 0x7))
 		if err := newCore.fit(task, rngNew); err != nil {

@@ -368,11 +368,15 @@ func decodeEntry(payload []byte) (*Entry, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	want := e.Rows * e.Classes
-	if e.Rows < 0 || e.Classes < 0 || len(d.data)-d.off != tabular.Float64SlabSize(want) {
-		return nil, fmt.Errorf("cell slab holds %d bytes, header promises %d rows × %d classes", len(d.data)-d.off, e.Rows, e.Classes)
+	// rows·classes is checked against the remaining bytes by division
+	// first: a header promising 2^31 × 2^30 would wrap 8·rows·classes to
+	// 0 and pass a plain length comparison.
+	rest := len(d.data) - d.off
+	if e.Rows < 0 || e.Classes < 0 || e.Classes > 0 && e.Rows > rest/8/e.Classes ||
+		rest != tabular.Float64SlabSize(e.Rows*e.Classes) {
+		return nil, fmt.Errorf("cell slab holds %d bytes, header promises %d rows × %d classes", rest, e.Rows, e.Classes)
 	}
-	proba, err := tabular.DecodeFloat64Slab(d.data[d.off:], want)
+	proba, err := tabular.DecodeFloat64Slab(d.data[d.off:], e.Rows*e.Classes)
 	if err != nil {
 		return nil, err
 	}

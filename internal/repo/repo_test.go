@@ -1,6 +1,8 @@
 package repo
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -8,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/atomicio"
 	"repro/internal/ml"
 )
 
@@ -49,22 +52,29 @@ func TestRoundTrip(t *testing.T) {
 	if got == nil {
 		t.Fatal("stored cell not found")
 	}
-	if got.Fingerprint != want.Fingerprint || got.Key != want.Key ||
-		got.System != want.System || got.Dataset != want.Dataset ||
-		got.Score != want.Score || got.Rows != want.Rows || got.Classes != want.Classes {
-		t.Fatalf("header mismatch: %+v", got)
+	if !sameEntry(got, want) {
+		t.Fatalf("round trip: got %+v, want %+v", got, want)
 	}
-	if string(got.Record) != string(want.Record) || string(got.Config) != string(want.Config) {
-		t.Fatalf("record/config mismatch: %q / %q", got.Record, got.Config)
+}
+
+// sameEntry compares two entries field by field, floats by their bits,
+// so NaN payloads and −0 count. An empty Record or Config equals a nil
+// one: decodeEntry normalises empty blobs to nil.
+func sameEntry(a, b *Entry) bool {
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if a.Fingerprint != b.Fingerprint || a.Key != b.Key || a.System != b.System || a.Dataset != b.Dataset ||
+		!sameBits(a.Score, b.Score) || !bytes.Equal(a.Record, b.Record) || !bytes.Equal(a.Config, b.Config) ||
+		a.Rows != b.Rows || a.Classes != b.Classes || len(a.Proba) != len(b.Proba) ||
+		!sameBits(a.InferCost.Generic, b.InferCost.Generic) || !sameBits(a.InferCost.Tree, b.InferCost.Tree) ||
+		!sameBits(a.InferCost.Matrix, b.InferCost.Matrix) {
+		return false
 	}
-	if got.InferCost != want.InferCost {
-		t.Fatalf("cost mismatch: %+v", got.InferCost)
-	}
-	for i := range want.Proba {
-		if math.Float64bits(got.Proba[i]) != math.Float64bits(want.Proba[i]) {
-			t.Fatalf("proba[%d] bits differ", i)
+	for i := range a.Proba {
+		if !sameBits(a.Proba[i], b.Proba[i]) {
+			return false
 		}
 	}
+	return true
 }
 
 func TestGetMiss(t *testing.T) {
@@ -130,20 +140,23 @@ func corrupt(t *testing.T, dir string, mutate func([]byte) []byte) {
 	}
 }
 
+// corruptions are the envelope mutations TestCorruptionRefused applies
+// to a stored cell; FuzzCellPayload seeds its corpus with them.
+var corruptions = []struct {
+	name   string
+	mutate func([]byte) []byte
+}{
+	{"torn tail below header", func(b []byte) []byte { return b[:7] }},
+	{"torn tail mid payload", func(b []byte) []byte { return b[:len(b)-9] }},
+	{"interior bit flip", func(b []byte) []byte {
+		b[len(b)/2] ^= 0x40
+		return b
+	}},
+	{"foreign file", func(b []byte) []byte { return []byte("not an envelope") }},
+}
+
 func TestCorruptionRefused(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func([]byte) []byte
-	}{
-		{"torn tail below header", func(b []byte) []byte { return b[:7] }},
-		{"torn tail mid payload", func(b []byte) []byte { return b[:len(b)-9] }},
-		{"interior bit flip", func(b []byte) []byte {
-			b[len(b)/2] ^= 0x40
-			return b
-		}},
-		{"foreign file", func(b []byte) []byte { return []byte("not an envelope") }},
-	}
-	for _, tc := range cases {
+	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			r := mustOpen(t, dir, Options{})
@@ -151,28 +164,123 @@ func TestCorruptionRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			corrupt(t, dir, tc.mutate)
-
-			// Default policy: refuse with ErrDamaged.
-			e, damaged, err := r.Get("fp01", "k")
-			if e != nil || !damaged || !errors.Is(err, ErrDamaged) {
-				t.Fatalf("refusing repo: got (%v, %v, %v), want (nil, true, ErrDamaged)", e, damaged, err)
-			}
-			if _, err := r.Walk(func(*Entry) error { return nil }); !errors.Is(err, ErrDamaged) {
-				t.Fatalf("refusing walk: %v, want ErrDamaged", err)
-			}
-
-			// AllowDamage: a counted miss, not an error.
-			tolerant := mustOpen(t, dir, Options{AllowDamage: true})
-			e, damaged, err = tolerant.Get("fp01", "k")
-			if e != nil || !damaged || err != nil {
-				t.Fatalf("tolerant repo: got (%v, %v, %v), want (nil, true, nil)", e, damaged, err)
-			}
-			n, werr := tolerant.Walk(func(*Entry) error { return nil })
-			if werr != nil || n != 1 {
-				t.Fatalf("tolerant walk: damaged=%d err=%v", n, werr)
-			}
+			checkDamaged(t, dir)
 		})
 	}
+}
+
+// checkDamaged requires the single cell fp01/k under dir to be refused
+// with ErrDamaged by Get and Walk, and to be a counted miss under
+// AllowDamage.
+func checkDamaged(t *testing.T, dir string) {
+	t.Helper()
+	r := mustOpen(t, dir, Options{})
+	e, damaged, err := r.Get("fp01", "k")
+	if e != nil || !damaged || !errors.Is(err, ErrDamaged) {
+		t.Fatalf("refusing repo: got (%v, %v, %v), want (nil, true, ErrDamaged)", e, damaged, err)
+	}
+	if _, err := r.Walk(func(*Entry) error { return nil }); !errors.Is(err, ErrDamaged) {
+		t.Fatalf("refusing walk: %v, want ErrDamaged", err)
+	}
+
+	tolerant := mustOpen(t, dir, Options{AllowDamage: true})
+	e, damaged, err = tolerant.Get("fp01", "k")
+	if e != nil || !damaged || err != nil {
+		t.Fatalf("tolerant repo: got (%v, %v, %v), want (nil, true, nil)", e, damaged, err)
+	}
+	n, werr := tolerant.Walk(func(*Entry) error { return nil })
+	if werr != nil || n != 1 {
+		t.Fatalf("tolerant walk: damaged=%d err=%v", n, werr)
+	}
+}
+
+// overflowPayload is a well-formed cell payload whose header promises
+// 2^31 rows × 2^30 classes with no slab bytes: 8·rows·classes wraps to
+// 0, the length of the (empty) slab.
+func overflowPayload() []byte {
+	e := testEntry("k")
+	e.Rows, e.Classes, e.Proba = 1<<31, 1<<30, nil
+	return encodeEntry(e)
+}
+
+// TestOverflowingSlabHeaderIsDamage stores a CRC-valid cell whose slab
+// shape overflows: it must be damage, never a panic.
+func TestOverflowingSlabHeaderIsDamage(t *testing.T) {
+	dir := t.TempDir()
+	r := mustOpen(t, dir, Options{})
+	path := r.cellPath("fp01", "k")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := atomicio.WriteFileChecksummedBytes(path, overflowPayload()); err != nil {
+		t.Fatal(err)
+	}
+	checkDamaged(t, dir)
+}
+
+// FuzzCellPayload checks the cell codec on arbitrary bytes: decodeEntry
+// never panics, a payload it accepts re-encodes to the same bytes (the
+// encoding is canonical), and an entry derived from the bytes survives
+// encodeEntry → decodeEntry bit for bit. The seeds are a valid payload,
+// TestCorruptionRefused's mutations of it and the overflowing header.
+func FuzzCellPayload(f *testing.F) {
+	f.Add(encodeEntry(testEntry("k")))
+	for _, c := range corruptions {
+		f.Add(c.mutate(encodeEntry(testEntry("k"))))
+	}
+	f.Add(overflowPayload())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if e, err := decodeEntry(data); err == nil && !bytes.Equal(encodeEntry(e), data) {
+			t.Fatalf("accepted payload re-encodes differently: %+v", e)
+		}
+		want := fuzzEntry(data)
+		got, err := decodeEntry(encodeEntry(want))
+		if err != nil {
+			t.Fatalf("decoding an encoded entry: %v", err)
+		}
+		if !sameEntry(got, want) {
+			t.Fatalf("round trip: got %+v, want %+v", got, want)
+		}
+	})
+}
+
+// fuzzEntry derives an entry from raw bytes: strings and blobs of up to
+// 8 bytes, a slab of up to 8 × 3 values, and every float taken bit for
+// bit from the next 8 bytes, so NaN payloads and −0 occur.
+func fuzzEntry(raw []byte) *Entry {
+	next := func(n int) []byte {
+		n = min(n, len(raw))
+		b := raw[:n]
+		raw = raw[n:]
+		return b
+	}
+	size := func() int {
+		if b := next(1); len(b) == 1 {
+			return int(b[0] % 9)
+		}
+		return 0
+	}
+	float := func() float64 {
+		var b [8]byte
+		copy(b[:], next(8))
+		return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	}
+	e := &Entry{
+		Fingerprint: string(next(size())),
+		Key:         string(next(size())),
+		System:      string(next(size())),
+		Dataset:     string(next(size())),
+		Score:       float(),
+		Record:      next(size()),
+		Config:      next(size()),
+		Rows:        size(),
+		Classes:     size() % 4,
+	}
+	for range e.Rows * e.Classes {
+		e.Proba = append(e.Proba, float())
+	}
+	e.InferCost = ml.Cost{Generic: float(), Tree: float(), Matrix: float()}
+	return e
 }
 
 func TestKeyAliasingDetected(t *testing.T) {

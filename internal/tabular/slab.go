@@ -42,9 +42,8 @@ func DecodeFloat64Slab(data []byte, n int) ([]float64, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("tabular: negative slab length %d", n)
 	}
-	need := Float64SlabSize(n)
-	if len(data) < need {
-		return nil, fmt.Errorf("tabular: slab needs %d bytes, have %d", need, len(data))
+	if n > len(data)/8 {
+		return nil, fmt.Errorf("tabular: slab of %d values does not fit in %d bytes", n, len(data))
 	}
 	out := make([]float64, n)
 	for i := range out {

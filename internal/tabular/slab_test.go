@@ -49,6 +49,10 @@ func TestDecodeFloat64SlabShortBuffer(t *testing.T) {
 	if _, err := DecodeFloat64Slab(nil, -1); err == nil {
 		t.Fatal("negative length accepted")
 	}
+	// 8·2^61 wraps to 0 bytes; the guard must not trust that product.
+	if _, err := DecodeFloat64Slab(nil, 1<<61); err == nil {
+		t.Fatal("length whose byte size overflows accepted")
+	}
 }
 
 func TestFlattenUnflattenRows(t *testing.T) {
