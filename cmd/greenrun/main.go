@@ -202,7 +202,7 @@ func run(o options) error {
 		}
 	}
 
-	train, test := greenautoml.Split(ds.Frame(), o.splitSeed)
+	train, test := greenautoml.Split(ds, o.splitSeed)
 
 	machine := greenautoml.CPUTestbed()
 	if o.gpu {

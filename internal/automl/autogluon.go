@@ -237,12 +237,9 @@ func (g *AutoGluon) Fit(train tabular.View, opts Options) (*Result, error) {
 		for i, fb := range layer1 {
 			probas[i] = fb.bag.OOFProba
 		}
-		// Reconstruct the stacked training frame from OOF order: the
-		// OOF rows correspond to the validation folds in order, so build
-		// a fresh columnar frame from those rows.
-		stackedX := ensemble.StackFeatures(layer1[0].bag.OOFRows, probas)
-		stacked := tabular.FromRows(stackedX)
-		sf := stacked.Frame()
+		// The stacked training frame follows OOF order: the train rows
+		// of the validation folds, in fold order.
+		sf := ensemble.StackFeatures(train.Select(layer1[0].bag.OOFIndex), probas)
 		sf.Name = train.Name() + "+stack"
 		sf.Y = oofLabels
 		sf.Classes = train.Classes()
@@ -250,7 +247,7 @@ func (g *AutoGluon) Fit(train tabular.View, opts Options) (*Result, error) {
 			if lastBagSeq > remainingPlan() {
 				break
 			}
-			bag, costs, err := ensemble.FitBagged(cand.build, stacked, folds, opts.Seed+1, rng)
+			bag, costs, err := ensemble.FitBagged(cand.build, sf.All(), folds, opts.Seed+1, rng)
 			if err != nil {
 				continue
 			}
@@ -436,8 +433,7 @@ func (s *stackedPredictor) PredictProba(x tabular.View) ([][]float64, ml.Cost) {
 		cost.Add(c)
 		probas[i] = p
 	}
-	stacked := ensemble.StackFeatures(x.MaterializeRows(), probas)
-	out, c := s.bag.PredictProba(tabular.FromRows(stacked))
+	out, c := s.bag.PredictProba(ensemble.StackFeatures(x, probas).All())
 	cost.Add(c)
 	return out, cost
 }

@@ -75,14 +75,17 @@ func TestTabPFNConstantExecution(t *testing.T) {
 // predict usefully (paper §3.2).
 func TestTabPFNClassLimit(t *testing.T) {
 	rng := newTestRNG(5)
-	many := &tabular.Dataset{Name: "many", Classes: 12}
+	var x [][]float64
+	var y []int
 	for i := 0; i < 360; i++ {
 		c := i % 12
-		many.X = append(many.X, []float64{6*float64(c) + rng.NormFloat64()})
-		many.Y = append(many.Y, c)
+		x = append(x, []float64{6*float64(c) + rng.NormFloat64()})
+		y = append(y, c)
 	}
-	res, meter := fitOn(t, NewTabPFN(), many.View(), time.Second, 6)
-	pred, err := res.Predict(many.View(), meter)
+	many := tabular.FromRows(x).Frame()
+	many.Name, many.Y, many.Classes = "many", y, 12
+	res, meter := fitOn(t, NewTabPFN(), many.All(), time.Second, 6)
+	pred, err := res.Predict(many.All(), meter)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,9 +193,6 @@ type Bagged struct {
 	// OOFProba holds the out-of-fold probability rows aligned with
 	// OOFLabels (stacking features and honest validation data).
 	OOFProba [][]float64
-	// OOFRows holds the raw feature rows matching OOFProba, needed to
-	// assemble stacked training inputs.
-	OOFRows [][]float64
 	// OOFLabels holds the matching true labels.
 	OOFLabels []int
 	// OOFIndex maps each OOF position to its source-dataset row index,
@@ -242,7 +239,6 @@ func FitBagged(proto func() *pipeline.Pipeline, ds tabular.View, k int, foldSeed
 		costs = append(costs, cost)
 		bag.Folds = append(bag.Folds, p)
 		bag.OOFProba = append(bag.OOFProba, proba...)
-		bag.OOFRows = append(bag.OOFRows, val.MaterializeRows()...)
 		bag.OOFLabels = append(bag.OOFLabels, val.LabelsInto(nil)...)
 		bag.OOFIndex = append(bag.OOFIndex, folds[f]...)
 	}
@@ -300,18 +296,36 @@ func (b *Bagged) PredictProba(x tabular.View) ([][]float64, ml.Cost) {
 	return out, cost
 }
 
-// StackFeatures builds layer-(l+1) inputs by concatenating the original
-// features with each bag's probability rows (AutoGluon-style stacking,
-// where "all models have access to all information from the other models
-// of the lower layers").
-func StackFeatures(x [][]float64, probas [][][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		stacked := append([]float64(nil), row...)
-		for _, proba := range probas {
-			stacked = append(stacked, proba[i]...)
+// StackFeatures builds layer-(l+1) inputs by appending each bag's
+// probability columns to the original features (AutoGluon-style
+// stacking, where "all models have access to all information from the
+// other models of the lower layers"). probas[b][i] is bag b's probability
+// row for view row i. The result is an unlabeled frame with nil Kinds, so
+// layer 2 reads every stacked column as numeric, the input's categorical
+// codes included; copying x's kinds would one-hot encode those codes and
+// change the layer-2 models.
+func StackFeatures(x tabular.View, probas [][][]float64) *tabular.Frame {
+	n, d := x.Rows(), x.Features()
+	width := d
+	for _, proba := range probas {
+		if n > 0 {
+			width += len(proba[0])
 		}
-		out[i] = stacked
 	}
-	return out
+	f := tabular.NewFrame("", n, width)
+	for j := 0; j < d; j++ {
+		// A subset view gathers straight into the new column; an
+		// identity view aliases its own column, which copy moves.
+		copy(f.Cols[j], x.ColInto(j, f.Cols[j]))
+	}
+	k := d
+	for _, proba := range probas {
+		for c := 0; n > 0 && c < len(proba[0]); c++ {
+			for i, row := range proba {
+				f.Cols[k][i] = row[c]
+			}
+			k++
+		}
+	}
+	return f
 }

@@ -14,14 +14,17 @@ import (
 
 func testRNG(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, 0xe5)) }
 
-func blob(n int, rng *rand.Rand) *tabular.Dataset {
-	ds := &tabular.Dataset{Name: "blob", Classes: 2}
+func blob(n int, rng *rand.Rand) *tabular.Frame {
+	var x [][]float64
+	var y []int
 	for i := 0; i < n; i++ {
 		c := i % 2
-		ds.X = append(ds.X, []float64{3*float64(c) + rng.NormFloat64(), rng.NormFloat64()})
-		ds.Y = append(ds.Y, c)
+		x = append(x, []float64{3*float64(c) + rng.NormFloat64(), rng.NormFloat64()})
+		y = append(y, c)
 	}
-	return ds
+	f := tabular.FromRows(x).Frame()
+	f.Name, f.Y, f.Classes = "blob", y, 2
+	return f
 }
 
 // constPredictor always returns fixed probability rows at a fixed cost.
@@ -188,7 +191,7 @@ func newPipelineProto() func() *pipeline.Pipeline {
 
 func TestFitBaggedOOFCoverage(t *testing.T) {
 	ds := blob(90, testRNG(2))
-	bag, costs, err := FitBagged(newPipelineProto(), ds.View(), 3, 7, testRNG(3))
+	bag, costs, err := FitBagged(newPipelineProto(), ds.All(), 3, 7, testRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +221,11 @@ func TestFitBaggedOOFCoverage(t *testing.T) {
 
 func TestFitBaggedSharedFoldSeedAligns(t *testing.T) {
 	ds := blob(60, testRNG(4))
-	a, _, err := FitBagged(newPipelineProto(), ds.View(), 3, 42, testRNG(5))
+	a, _, err := FitBagged(newPipelineProto(), ds.All(), 3, 42, testRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := FitBagged(newPipelineProto(), ds.View(), 3, 42, testRNG(6))
+	b, _, err := FitBagged(newPipelineProto(), ds.All(), 3, 42, testRNG(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +238,11 @@ func TestFitBaggedSharedFoldSeedAligns(t *testing.T) {
 
 func TestBaggedPredictAndRefit(t *testing.T) {
 	ds := blob(90, testRNG(7))
-	bag, _, err := FitBagged(newPipelineProto(), ds.View(), 3, 1, testRNG(8))
+	bag, _, err := FitBagged(newPipelineProto(), ds.All(), 3, 1, testRNG(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	probaBag, costBag := bag.PredictProba(ds.View())
+	probaBag, costBag := bag.PredictProba(ds.All())
 	labels := metrics.ArgmaxRows(probaBag)
 	if acc := metrics.Accuracy(ds.Y, labels); acc < 0.9 {
 		t.Errorf("bagged accuracy %.3f", acc)
@@ -247,7 +250,7 @@ func TestBaggedPredictAndRefit(t *testing.T) {
 	if bag.Refitted() {
 		t.Error("bag marked refit before Refit")
 	}
-	refitCost, err := bag.Refit(newPipelineProto(), ds.View(), testRNG(9))
+	refitCost, err := bag.Refit(newPipelineProto(), ds.All(), testRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,31 +263,46 @@ func TestBaggedPredictAndRefit(t *testing.T) {
 	// The refit single model must be cheaper at inference than the
 	// 3-fold average — that is AutoGluon's inference-optimized preset
 	// (paper §3.4).
-	_, costRefit := bag.PredictProba(ds.View())
+	_, costRefit := bag.PredictProba(ds.All())
 	if costRefit.Total() >= costBag.Total() {
 		t.Errorf("refit inference cost %.0f not below bagged %.0f", costRefit.Total(), costBag.Total())
 	}
 }
 
 func TestStackFeatures(t *testing.T) {
-	x := [][]float64{{1, 2}, {3, 4}}
+	in := tabular.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}}).Frame()
+	in.Kinds = []tabular.FeatureKind{tabular.Categorical, tabular.Numeric}
+	in.Y, in.Classes = []int{0, 1, 0}, 2
+	before := in.All().Materialize()
+	x := in.All().Select([]int{2, 0}) // non-contiguous, out of storage order
 	probas := [][][]float64{
 		{{0.9, 0.1}, {0.2, 0.8}},
 		{{0.5, 0.5}, {0.6, 0.4}},
 	}
 	stacked := StackFeatures(x, probas)
-	if len(stacked) != 2 || len(stacked[0]) != 6 {
-		t.Fatalf("stacked shape %dx%d, want 2x6", len(stacked), len(stacked[0]))
+	if stacked.Rows() != 2 || stacked.Features() != 6 {
+		t.Fatalf("stacked shape %dx%d, want 2x6", stacked.Rows(), stacked.Features())
 	}
-	want := []float64{1, 2, 0.9, 0.1, 0.5, 0.5}
-	for j, v := range want {
-		if stacked[0][j] != v {
-			t.Errorf("stacked[0][%d] = %v, want %v", j, stacked[0][j], v)
+	want := [][]float64{{5, 6, 0.9, 0.1, 0.5, 0.5}, {1, 2, 0.2, 0.8, 0.6, 0.4}}
+	for i, row := range want {
+		for j, v := range row {
+			if got := stacked.Cols[j][i]; got != v {
+				t.Errorf("stacked row %d col %d = %v, want %v", i, j, got, v)
+			}
 		}
 	}
-	// The original rows are not mutated.
-	if len(x[0]) != 2 {
-		t.Error("StackFeatures mutated its input")
+	// Stacked inputs are unlabeled and all-numeric: the input's
+	// categorical kind must not reach layer 2.
+	if stacked.Kinds != nil || stacked.Y != nil || stacked.Classes != 0 || stacked.Name != "" {
+		t.Errorf("stacked frame kinds %v, labels %v, classes %d, name %q; want nil, nil, 0, empty",
+			stacked.Kinds, stacked.Y, stacked.Classes, stacked.Name)
+	}
+	for j := range in.Cols {
+		for i, v := range in.Cols[j] {
+			if v != before.Cols[j][i] {
+				t.Fatal("StackFeatures mutated its input")
+			}
+		}
 	}
 }
 
@@ -305,7 +323,7 @@ func TestFitBaggedReturnsPartialCostOnFoldFailure(t *testing.T) {
 	proto := func() *pipeline.Pipeline {
 		return &pipeline.Pipeline{Model: costlyFailingModel{}}
 	}
-	bag, costs, err := FitBagged(proto, ds.View(), 3, 7, testRNG(12))
+	bag, costs, err := FitBagged(proto, ds.All(), 3, 7, testRNG(12))
 	if err == nil {
 		t.Fatal("failing fold did not surface an error")
 	}

@@ -18,9 +18,9 @@
 //     (writes to an io.Writer, or builds a slice that is never sorted).
 //   - wraperr: no fmt.Errorf that passes an error through %v/%s — use
 //     %w so the errors.Is-based failure taxonomy keeps working.
-//   - rowmajor: in internal/ml no unannotated [][]float64 allocation and
-//     no View.MaterializeRows — the kernels are columnar; a row-major
-//     feature matrix is the per-fit transpose regression coming back.
+//   - rowmajor: in internal/ml no unannotated [][]float64 allocation or
+//     literal — the kernels are columnar; a row-major feature matrix is
+//     the per-fit transpose regression coming back.
 //   - reduceorder: in internal/ml no unannotated goroutine launch and no
 //     write to a captured variable from inside one — shared accumulators
 //     make float reduction order (and the output bits) depend on

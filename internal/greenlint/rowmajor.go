@@ -9,9 +9,10 @@ import (
 // Frame refactor deleted every per-fit row-major materialization — the
 // kernels read View columns in place — and the treeCore/histgbt speedups
 // in BENCH_3.json exist exactly because no [][]float64 feature matrix is
-// rebuilt per fit. A new `make([][]float64, ...)` (or a
-// View.MaterializeRows call) in internal/ml is how that regression
-// returns, one innocent-looking transpose at a time. Legitimate
+// rebuilt per fit. A new `make([][]float64, ...)` or [][]float64
+// literal in internal/ml is how that regression returns, one
+// innocent-looking transpose at a time; tabular has no view-to-rows
+// method, so the compiler already refuses the other way back. Legitimate
 // [][]float64 allocations remain — probability output rows mandated by
 // the Classifier interface, class-by-feature parameter matrices,
 // columnar column tables — and each carries a //greenlint:allow rowmajor
@@ -19,7 +20,7 @@ import (
 // allocation must either be columnar or argue its case in the source.
 var RowMajor = &Analyzer{
 	Name: "rowmajor",
-	Doc:  "forbid unannotated [][]float64 allocations and View.MaterializeRows in internal/ml; kernels are columnar",
+	Doc:  "forbid unannotated [][]float64 allocations in internal/ml; kernels are columnar",
 	Run: func(p *Pass) {
 		if !strings.HasSuffix(p.Pkg.Path, "/ml") {
 			return
@@ -35,12 +36,6 @@ var RowMajor = &Analyzer{
 						if t := p.typeOf(e.Args[0]); t != nil && t.String() == "[][]float64" {
 							p.Reportf(e.Pos(),
 								"make([][]float64, ...) in the columnar ml kernels; read View columns in place, or annotate why this is not a row-major feature matrix")
-						}
-					}
-					if sel, ok := e.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "MaterializeRows" {
-						if t := p.typeOf(sel.X); t != nil && strings.HasSuffix(t.String(), "tabular.View") {
-							p.Reportf(e.Pos(),
-								"View.MaterializeRows reintroduces the per-fit transpose the columnar kernels deleted; iterate the view's columns instead")
 						}
 					}
 				case *ast.CompositeLit:

@@ -2,16 +2,6 @@
 // path-scoped check treats it like the real kernel package.
 package ml
 
-// View mimics tabular.View closely enough for the selector check: the
-// analyzer matches the method name on any type whose string ends in
-// "tabular.View", so the real method is exercised through the tabular
-// import below.
-import "repro/internal/tabular"
-
-func transposeBack(v tabular.View) [][]float64 {
-	return v.MaterializeRows() // want "reintroduces the per-fit transpose"
-}
-
 func freshMatrix(n int) [][]float64 {
 	return make([][]float64, n) // want "make\\(\\[\\]\\[\\]float64"
 }

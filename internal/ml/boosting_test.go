@@ -34,7 +34,7 @@ func TestBoostingSharedPresortIsExact(t *testing.T) {
 				for _, subset := range []bool{false, true} {
 					name := fmt.Sprintf("subsample=%v/classes=%d/depth=%d/subset=%v", subsample, classes, depth, subset)
 					ds := equivDataset(260, 9, classes, uint64(classes*10+depth))
-					v := ds.View()
+					v := ds.All()
 					if subset {
 						v = v.Select(rand.New(rand.NewPCG(uint64(depth), 0x5b)).Perm(v.Rows())[:200])
 					}
@@ -43,7 +43,7 @@ func TestBoostingSharedPresortIsExact(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: fit: %v", name, err)
 					}
-					proba, predCost := b.PredictProba(ds.View())
+					proba, predCost := b.PredictProba(ds.All())
 					hashCost(h, fitCost)
 					hashCost(h, predCost)
 					for _, row := range proba {
@@ -66,7 +66,7 @@ func TestBoostingSharedPresortIsExact(t *testing.T) {
 // keys is reported.
 func TestSharedPresortIsReadOnly(t *testing.T) {
 	ds := equivDataset(300, 9, 3, 11)
-	v := ds.View().Select(rand.New(rand.NewPCG(3, 3)).Perm(300)[:240])
+	v := ds.All().Select(rand.New(rand.NewPCG(3, 3)).Perm(300)[:240])
 	p := TreeParams{MaxDepth: 5}
 	presort := newKeyPresort(v)
 	defer presort.release()

@@ -20,7 +20,7 @@ func BenchmarkKNNFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := NewKNN(KNNParams{K: 5})
-		if _, err := k.Fit(ds.View(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
+		if _, err := k.Fit(ds.All(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -32,13 +32,13 @@ func BenchmarkKNNPredict(b *testing.B) {
 	train := benchDataset(600, 16, 3, 2)
 	test := benchDataset(100, 16, 3, 5)
 	k := NewKNN(KNNParams{K: 5})
-	if _, err := k.Fit(train.View(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
+	if _, err := k.Fit(train.All(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.PredictProba(test.View())
+		k.PredictProba(test.All())
 	}
 }
 
@@ -50,7 +50,7 @@ func BenchmarkMLPFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := NewMLP(MLPParams{Hidden: []int{32}, Epochs: 5})
-		if _, err := m.Fit(ds.View(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
+		if _, err := m.Fit(ds.All(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,7 +65,7 @@ func BenchmarkLinearFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lr := NewLogisticRegression(LinearParams{Epochs: 10})
-		if _, err := lr.Fit(ds.View(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
+		if _, err := lr.Fit(ds.All(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func BenchmarkAdaBoostFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := NewAdaBoost(AdaBoostParams{Rounds: 10})
-		if _, err := a.Fit(ds.View(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
+		if _, err := a.Fit(ds.All(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,11 +10,11 @@ import (
 // permutedView copies ds into a fresh frame whose rows are stored in a
 // shuffled physical order and returns the non-contiguous view that
 // restores the original row order. The view is logically identical to
-// ds.View() — same rows, same order — but forces every kernel down its
+// ds.All() — same rows, same order — but forces every kernel down its
 // index path instead of the contiguous fast path. Bit-identical output
 // across the two views proves fit/predict depends only on the viewed
 // row sequence, never on the physical layout.
-func permutedView(ds *tabular.Dataset, rng *rand.Rand) tabular.View {
+func permutedView(ds *tabular.Frame, rng *rand.Rand) tabular.View {
 	n, d := ds.Rows(), ds.Features()
 	perm := rng.Perm(n) // perm[p] = original row stored at position p
 	f := tabular.NewFrame(ds.Name, n, d)
@@ -24,7 +24,7 @@ func permutedView(ds *tabular.Dataset, rng *rand.Rand) tabular.View {
 	idx := make([]int, n)
 	for p, orig := range perm {
 		for j := 0; j < d; j++ {
-			f.Cols[j][p] = ds.X[orig][j]
+			f.Cols[j][p] = ds.Cols[j][orig]
 		}
 		f.Y[p] = ds.Y[orig]
 		idx[orig] = p
@@ -63,7 +63,7 @@ func TestLayoutEquivalenceClassifiers(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			a := proto.Clone()
 			b := proto.Clone()
-			fitCostA, errA := a.Fit(train.View(), testRNG(5))
+			fitCostA, errA := a.Fit(train.All(), testRNG(5))
 			fitCostB, errB := b.Fit(permutedView(train, testRNG(77)), testRNG(5))
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("fit errors diverge: %v vs %v", errA, errB)
@@ -74,7 +74,7 @@ func TestLayoutEquivalenceClassifiers(t *testing.T) {
 			if fitCostA != fitCostB {
 				t.Errorf("fit cost diverges: %+v vs %+v", fitCostA, fitCostB)
 			}
-			probaA, costA := a.PredictProba(test.View())
+			probaA, costA := a.PredictProba(test.All())
 			probaB, costB := b.PredictProba(permutedView(test, testRNG(78)))
 			if costA != costB {
 				t.Errorf("predict cost diverges: %+v vs %+v", costA, costB)
@@ -100,7 +100,7 @@ func TestLayoutEquivalenceRegressors(t *testing.T) {
 	ds := separableBlob(120, 3, testRNG(31))
 	y := make([]float64, ds.Rows())
 	for i := range y {
-		y[i] = ds.X[i][0]*1.5 - ds.X[i][1] + 0.25*float64(ds.Y[i])
+		y[i] = ds.Cols[0][i]*1.5 - ds.Cols[1][i] + 0.25*float64(ds.Y[i])
 	}
 	// Targets are indexed by view position, which both views share.
 	models := map[string]Regressor{
@@ -117,7 +117,7 @@ func TestLayoutEquivalenceRegressors(t *testing.T) {
 			case *ForestRegressor:
 				a, b = NewForestRegressor(m.Params), NewForestRegressor(m.Params)
 			}
-			costA, errA := a.FitReg(ds.View(), y, testRNG(6))
+			costA, errA := a.FitReg(ds.All(), y, testRNG(6))
 			costB, errB := b.FitReg(permutedView(ds, testRNG(79)), y, testRNG(6))
 			if errA != nil || errB != nil {
 				t.Fatalf("fit errors: %v, %v", errA, errB)
@@ -125,7 +125,7 @@ func TestLayoutEquivalenceRegressors(t *testing.T) {
 			if costA != costB {
 				t.Errorf("fit cost diverges: %+v vs %+v", costA, costB)
 			}
-			predA, pcA := a.PredictReg(test.View())
+			predA, pcA := a.PredictReg(test.All())
 			predB, pcB := b.PredictReg(permutedView(test, testRNG(80)))
 			if pcA != pcB {
 				t.Errorf("predict cost diverges: %+v vs %+v", pcA, pcB)

@@ -13,31 +13,40 @@ import (
 
 func testRNG(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, 0x11)) }
 
+// labeled builds a labeled frame from row-major fixture rows.
+func labeled(name string, x [][]float64, y []int, classes int) *tabular.Frame {
+	f := tabular.FromRows(x).Frame()
+	f.Name, f.Y, f.Classes = name, y, classes
+	return f
+}
+
 // separableBlob builds a linearly separable two-cluster dataset.
-func separableBlob(n, d int, rng *rand.Rand) *tabular.Dataset {
-	ds := &tabular.Dataset{Name: "sep", Classes: 2}
+func separableBlob(n, d int, rng *rand.Rand) *tabular.Frame {
+	var x [][]float64
+	var y []int
 	for i := 0; i < n; i++ {
 		c := i % 2
 		row := make([]float64, d)
 		for j := range row {
 			row[j] = 4*float64(c) + rng.NormFloat64()
 		}
-		ds.X = append(ds.X, row)
-		ds.Y = append(ds.Y, c)
+		x = append(x, row)
+		y = append(y, c)
 	}
-	return ds
+	return labeled("sep", x, y, 2)
 }
 
 // xorBlob builds an XOR-style dataset no linear model can solve.
-func xorBlob(n int, rng *rand.Rand) *tabular.Dataset {
-	ds := &tabular.Dataset{Name: "xor", Classes: 2}
+func xorBlob(n int, rng *rand.Rand) *tabular.Frame {
+	var x [][]float64
+	var y []int
 	for i := 0; i < n; i++ {
 		a, b := rng.IntN(2), rng.IntN(2)
 		row := []float64{4*float64(a) + rng.NormFloat64(), 4*float64(b) + rng.NormFloat64()}
-		ds.X = append(ds.X, row)
-		ds.Y = append(ds.Y, a^b)
+		x = append(x, row)
+		y = append(y, a^b)
 	}
-	return ds
+	return labeled("xor", x, y, 2)
 }
 
 func allClassifiers() map[string]Classifier {
@@ -61,14 +70,14 @@ func TestClassifiersLearnSeparableData(t *testing.T) {
 	for name, clf := range allClassifiers() {
 		clf := clf
 		t.Run(name, func(t *testing.T) {
-			cost, err := clf.Fit(train.View(), testRNG(3))
+			cost, err := clf.Fit(train.All(), testRNG(3))
 			if err != nil {
 				t.Fatalf("Fit: %v", err)
 			}
 			if cost.Total() <= 0 {
 				t.Error("training reported no cost")
 			}
-			pred, predCost := Predict(clf, test.View())
+			pred, predCost := Predict(clf, test.All())
 			if predCost.Total() <= 0 {
 				t.Error("prediction reported no cost")
 			}
@@ -91,10 +100,10 @@ func TestTreeModelsSolveXOR(t *testing.T) {
 		"mlp":    NewMLP(MLPParams{Hidden: []int{16}, Epochs: 60, LearningRate: 0.1}),
 	}
 	for name, clf := range nonlinear {
-		if _, err := clf.Fit(train.View(), testRNG(6)); err != nil {
+		if _, err := clf.Fit(train.All(), testRNG(6)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		pred, _ := Predict(clf, test.View())
+		pred, _ := Predict(clf, test.All())
 		if acc := metrics.Accuracy(test.Y, pred); acc < 0.85 {
 			t.Errorf("%s: accuracy %.3f on XOR, want nonlinear capacity", name, acc)
 		}
@@ -102,8 +111,8 @@ func TestTreeModelsSolveXOR(t *testing.T) {
 	// A linear model must fail on XOR — that's what makes the search
 	// space interesting.
 	lin := NewLogisticRegression(LinearParams{Epochs: 40})
-	lin.Fit(train.View(), testRNG(7))
-	pred, _ := Predict(lin, test.View())
+	lin.Fit(train.All(), testRNG(7))
+	pred, _ := Predict(lin, test.All())
 	if acc := metrics.Accuracy(test.Y, pred); acc > 0.75 {
 		t.Errorf("logistic regression scored %.3f on XOR — the generator is not nonlinear", acc)
 	}
@@ -114,7 +123,7 @@ func TestTreeModelsSolveXOR(t *testing.T) {
 func TestProbabilityRowsAreDistributions(t *testing.T) {
 	train := separableBlob(120, 3, testRNG(8))
 	for name, clf := range allClassifiers() {
-		if _, err := clf.Fit(train.View(), testRNG(9)); err != nil {
+		if _, err := clf.Fit(train.All(), testRNG(9)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		clf := clf
@@ -139,7 +148,7 @@ func TestProbabilityRowsAreDistributions(t *testing.T) {
 func TestCloneIsUntrainedWithSameParams(t *testing.T) {
 	train := separableBlob(100, 3, testRNG(11))
 	for name, clf := range allClassifiers() {
-		if _, err := clf.Fit(train.View(), testRNG(12)); err != nil {
+		if _, err := clf.Fit(train.All(), testRNG(12)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		clone := clf.Clone()
@@ -170,10 +179,10 @@ func TestFitDeterminism(t *testing.T) {
 		"mlp":    func() Classifier { return NewMLP(MLPParams{Hidden: []int{8}, Epochs: 10}) },
 	} {
 		a, b := build(), build()
-		a.Fit(train.View(), testRNG(15))
-		b.Fit(train.View(), testRNG(15))
-		pa, _ := a.PredictProba(test.View())
-		pb, _ := b.PredictProba(test.View())
+		a.Fit(train.All(), testRNG(15))
+		b.Fit(train.All(), testRNG(15))
+		pa, _ := a.PredictProba(test.All())
+		pb, _ := b.PredictProba(test.All())
 		for i := range pa {
 			for j := range pa[i] {
 				if pa[i][j] != pb[i][j] {
@@ -193,8 +202,8 @@ func TestCostGrowsWithData(t *testing.T) {
 		"gnb":    func() Classifier { return NewGaussianNB() },
 	} {
 		a, b := build(), build()
-		costSmall, _ := a.Fit(small.View(), testRNG(18))
-		costLarge, _ := b.Fit(large.View(), testRNG(18))
+		costSmall, _ := a.Fit(small.All(), testRNG(18))
+		costLarge, _ := b.Fit(large.All(), testRNG(18))
 		if costLarge.Total() <= costSmall.Total() {
 			t.Errorf("%s: cost did not grow with data (%.0f vs %.0f)", name, costLarge.Total(), costSmall.Total())
 		}
@@ -204,12 +213,12 @@ func TestCostGrowsWithData(t *testing.T) {
 func TestCostBuckets(t *testing.T) {
 	train := separableBlob(100, 3, testRNG(19))
 	tree := NewTreeClassifier(TreeParams{MaxDepth: 6})
-	cost, _ := tree.Fit(train.View(), testRNG(20))
+	cost, _ := tree.Fit(train.All(), testRNG(20))
 	if cost.Tree <= 0 || cost.Matrix != 0 {
 		t.Errorf("tree cost in wrong buckets: %+v", cost)
 	}
 	mlp := NewMLP(MLPParams{Hidden: []int{8}, Epochs: 5})
-	cost, _ = mlp.Fit(train.View(), testRNG(21))
+	cost, _ = mlp.Fit(train.All(), testRNG(21))
 	if cost.Matrix <= 0 || cost.Tree != 0 {
 		t.Errorf("mlp cost in wrong buckets: %+v", cost)
 	}
@@ -246,9 +255,9 @@ func TestTreeDepthLimit(t *testing.T) {
 		train.Y[i*7%300] = 1 - train.Y[i*7%300]
 	}
 	shallow := NewTreeClassifier(TreeParams{MaxDepth: 2})
-	shallow.Fit(train.View(), testRNG(23))
+	shallow.Fit(train.All(), testRNG(23))
 	deep := NewTreeClassifier(TreeParams{MaxDepth: 12})
-	deep.Fit(train.View(), testRNG(23))
+	deep.Fit(train.All(), testRNG(23))
 	if shallow.NodeCount() > 7 {
 		t.Errorf("depth-2 tree has %d nodes, want <= 7", shallow.NodeCount())
 	}
@@ -260,9 +269,9 @@ func TestTreeDepthLimit(t *testing.T) {
 func TestTreeMinLeaf(t *testing.T) {
 	train := xorBlob(200, testRNG(24))
 	big := NewTreeClassifier(TreeParams{MaxDepth: 20, MinSamplesLeaf: 50})
-	big.Fit(train.View(), testRNG(25))
+	big.Fit(train.All(), testRNG(25))
 	small := NewTreeClassifier(TreeParams{MaxDepth: 20, MinSamplesLeaf: 1})
-	small.Fit(train.View(), testRNG(25))
+	small.Fit(train.All(), testRNG(25))
 	if big.NodeCount() >= small.NodeCount() {
 		t.Errorf("min_leaf=50 tree (%d nodes) not smaller than min_leaf=1 (%d)", big.NodeCount(), small.NodeCount())
 	}
@@ -270,7 +279,7 @@ func TestTreeMinLeaf(t *testing.T) {
 
 func TestTreeFitErrors(t *testing.T) {
 	tree := NewTreeClassifier(TreeParams{})
-	if _, err := tree.Fit((&tabular.Dataset{Classes: 2}).View(), testRNG(26)); err == nil {
+	if _, err := tree.Fit((&tabular.Frame{Classes: 2}).All(), testRNG(26)); err == nil {
 		t.Error("empty dataset accepted")
 	}
 	reg := NewTreeRegressor(TreeParams{})
@@ -328,11 +337,11 @@ func TestBoostingImprovesWithRounds(t *testing.T) {
 	train := xorBlob(300, testRNG(30))
 	test := xorBlob(120, testRNG(31))
 	few := NewBoostingClassifier(BoostingParams{Rounds: 1, Tree: TreeParams{MaxDepth: 1}})
-	few.Fit(train.View(), testRNG(32))
+	few.Fit(train.All(), testRNG(32))
 	many := NewBoostingClassifier(BoostingParams{Rounds: 40, Tree: TreeParams{MaxDepth: 2}})
-	many.Fit(train.View(), testRNG(32))
-	predFew, _ := Predict(few, test.View())
-	predMany, _ := Predict(many, test.View())
+	many.Fit(train.All(), testRNG(32))
+	predFew, _ := Predict(few, test.All())
+	predMany, _ := Predict(many, test.All())
 	if metrics.Accuracy(test.Y, predMany) <= metrics.Accuracy(test.Y, predFew) {
 		t.Errorf("boosting did not improve with rounds: %v vs %v",
 			metrics.Accuracy(test.Y, predMany), metrics.Accuracy(test.Y, predFew))
@@ -342,8 +351,8 @@ func TestBoostingImprovesWithRounds(t *testing.T) {
 func TestKNNMemorizesWithK1(t *testing.T) {
 	train := separableBlob(60, 3, testRNG(33))
 	knn := NewKNN(KNNParams{K: 1})
-	knn.Fit(train.View(), testRNG(34))
-	pred, _ := Predict(knn, train.View())
+	knn.Fit(train.All(), testRNG(34))
+	pred, _ := Predict(knn, train.All())
 	if acc := metrics.Accuracy(train.Y, pred); acc != 1 {
 		t.Errorf("1-NN training accuracy %v, want 1", acc)
 	}
@@ -357,10 +366,10 @@ func TestKNNInferenceCostScalesWithTrainingSet(t *testing.T) {
 	large := separableBlob(500, 3, testRNG(36))
 	query := [][]float64{{0, 0, 0}}
 	a := NewKNN(KNNParams{K: 3})
-	a.Fit(small.View(), testRNG(37))
+	a.Fit(small.All(), testRNG(37))
 	_, costSmall := a.PredictProba(tabular.FromRows(query))
 	b := NewKNN(KNNParams{K: 3})
-	b.Fit(large.View(), testRNG(37))
+	b.Fit(large.All(), testRNG(37))
 	_, costLarge := b.PredictProba(tabular.FromRows(query))
 	if costLarge.Total() < 5*costSmall.Total() {
 		t.Errorf("lazy-learner inference cost did not scale: %v vs %v", costLarge.Total(), costSmall.Total())
@@ -385,22 +394,24 @@ func TestUnfittedClassifiersReturnUniform(t *testing.T) {
 
 func TestMulticlass(t *testing.T) {
 	rng := testRNG(38)
-	ds := &tabular.Dataset{Name: "multi", Classes: 4}
+	var x [][]float64
+	var y []int
 	// Class centers on a 2D grid: every class is linearly separable
 	// from the rest, so one-vs-rest learners can solve it too.
 	for i := 0; i < 400; i++ {
 		c := i % 4
-		ds.X = append(ds.X, []float64{
+		x = append(x, []float64{
 			6*float64(c%2) + rng.NormFloat64(),
 			6*float64(c/2) + rng.NormFloat64(),
 		})
-		ds.Y = append(ds.Y, c)
+		y = append(y, c)
 	}
+	ds := labeled("multi", x, y, 4)
 	for name, clf := range allClassifiers() {
-		if _, err := clf.Fit(ds.View(), testRNG(39)); err != nil {
+		if _, err := clf.Fit(ds.All(), testRNG(39)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		pred, _ := Predict(clf, ds.View())
+		pred, _ := Predict(clf, ds.All())
 		if acc := metrics.BalancedAccuracy(ds.Y, pred, 4); acc < 0.9 {
 			t.Errorf("%s: 4-class balanced accuracy %.3f", name, acc)
 		}

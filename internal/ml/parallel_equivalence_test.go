@@ -47,14 +47,14 @@ func TestParallelismEquivalenceClassifiers(t *testing.T) {
 			var baseProba [][]float64
 			var basePred Cost
 			withParallelism(t, 1, func() {
-				baseFit, baseProba, basePred = fitPredict(t, proto, train.View(), test.View())
+				baseFit, baseProba, basePred = fitPredict(t, proto, train.All(), test.All())
 			})
 			for _, p := range []int{2, 4} {
 				var fitCost Cost
 				var proba [][]float64
 				var predCost Cost
 				withParallelism(t, p, func() {
-					fitCost, proba, predCost = fitPredict(t, proto, train.View(), test.View())
+					fitCost, proba, predCost = fitPredict(t, proto, train.All(), test.All())
 				})
 				if fitCost != baseFit {
 					t.Errorf("parallelism %d: fit cost diverges: %+v vs %+v", p, fitCost, baseFit)
@@ -84,7 +84,7 @@ func TestParallelismEquivalenceRegressors(t *testing.T) {
 	ds := separableBlob(260, 3, testRNG(31))
 	y := make([]float64, ds.Rows())
 	for i := range y {
-		y[i] = ds.X[i][0]*1.5 - ds.X[i][1] + 0.25*float64(ds.Y[i])
+		y[i] = ds.Cols[0][i]*1.5 - ds.Cols[1][i] + 0.25*float64(ds.Y[i])
 	}
 	test := separableBlob(80, 3, testRNG(32))
 	models := map[string]func() Regressor{
@@ -99,11 +99,11 @@ func TestParallelismEquivalenceRegressors(t *testing.T) {
 				withParallelism(t, p, func() {
 					m := mk()
 					var err error
-					fitCost, err = m.FitReg(ds.View(), y, testRNG(6))
+					fitCost, err = m.FitReg(ds.All(), y, testRNG(6))
 					if err != nil {
 						t.Fatalf("fit: %v", err)
 					}
-					pred, predCost = m.PredictReg(test.View())
+					pred, predCost = m.PredictReg(test.All())
 				})
 				return fitCost, pred, predCost
 			}
@@ -256,7 +256,7 @@ func BenchmarkForestFitParallel(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				m := NewForestClassifier(params)
-				if _, err := m.Fit(ds.View(), testRNG(9)); err != nil {
+				if _, err := m.Fit(ds.All(), testRNG(9)); err != nil {
 					b.Fatal(err)
 				}
 			}

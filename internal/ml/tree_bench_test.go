@@ -10,9 +10,10 @@ import (
 // benchDataset builds a deterministic classification dataset with a mix of
 // continuous and low-cardinality (tie-heavy) features, the shape the grid's
 // tree fits actually see.
-func benchDataset(n, d, classes int, seed uint64) *tabular.Dataset {
+func benchDataset(n, d, classes int, seed uint64) *tabular.Frame {
 	r := rand.New(rand.NewPCG(seed, 0xbe))
-	ds := &tabular.Dataset{Name: "bench", Classes: classes}
+	var x [][]float64
+	var y []int
 	for i := 0; i < n; i++ {
 		row := make([]float64, d)
 		for j := range row {
@@ -23,16 +24,16 @@ func benchDataset(n, d, classes int, seed uint64) *tabular.Dataset {
 				row[j] = r.NormFloat64() + float64(i%classes)
 			}
 		}
-		ds.X = append(ds.X, row)
-		ds.Y = append(ds.Y, i%classes)
+		x = append(x, row)
+		y = append(y, i%classes)
 	}
-	return ds
+	return labeled("bench", x, y, classes)
 }
 
-func benchRegTargets(ds *tabular.Dataset) []float64 {
-	y := make([]float64, len(ds.X))
-	for i, row := range ds.X {
-		y[i] = row[0] + 0.5*row[1%len(row)]
+func benchRegTargets(ds *tabular.Frame) []float64 {
+	y := make([]float64, ds.Rows())
+	for i := range y {
+		y[i] = ds.Cols[0][i] + 0.5*ds.Cols[1%ds.Features()][i]
 	}
 	return y
 }
@@ -46,7 +47,7 @@ func BenchmarkTreeCoreFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tc := treeCore{params: TreeParams{MaxDepth: 16}, classes: ds.Classes}
-		if err := tc.fit(treeTask{v: ds.View(), y: ds.Y}, rand.New(rand.NewPCG(7, 0x11))); err != nil {
+		if err := tc.fit(treeTask{v: ds.All(), y: ds.Y}, rand.New(rand.NewPCG(7, 0x11))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +61,7 @@ func BenchmarkTreeCoreFitSubset(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tc := treeCore{params: TreeParams{MaxDepth: 16, MaxFeatures: 0.25}, classes: ds.Classes}
-		if err := tc.fit(treeTask{v: ds.View(), y: ds.Y}, rand.New(rand.NewPCG(7, 0x11))); err != nil {
+		if err := tc.fit(treeTask{v: ds.All(), y: ds.Y}, rand.New(rand.NewPCG(7, 0x11))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -75,7 +76,7 @@ func BenchmarkTreeCoreFitRegression(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tc := treeCore{params: TreeParams{MaxDepth: 16}}
-		if err := tc.fit(treeTask{v: ds.View(), t: y}, rand.New(rand.NewPCG(7, 0x11))); err != nil {
+		if err := tc.fit(treeTask{v: ds.All(), t: y}, rand.New(rand.NewPCG(7, 0x11))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -85,10 +86,11 @@ func BenchmarkTreeCoreFitRegression(b *testing.B) {
 // preprocessed data: one-hot indicator groups, binary flags and
 // low-cardinality codes, so nearly every split candidate sorts a column
 // of heavy ties, plus a continuous target.
-func oneHotRegression(n int, seed uint64) (*tabular.Dataset, []float64) {
+func oneHotRegression(n int, seed uint64) (*tabular.Frame, []float64) {
 	r := rand.New(rand.NewPCG(seed, 0x0e))
 	const groups, width, flags, codes = 3, 4, 4, 4
-	ds := &tabular.Dataset{Name: "onehot", Classes: 2}
+	var x [][]float64
+	var labels []int
 	y := make([]float64, n)
 	for i := 0; i < n; i++ {
 		row := make([]float64, 0, groups*width+flags+codes)
@@ -110,10 +112,10 @@ func oneHotRegression(n int, seed uint64) (*tabular.Dataset, []float64) {
 			row = append(row, float64(r.IntN(3+c)))
 		}
 		y[i] += row[len(row)-1] + r.NormFloat64()
-		ds.X = append(ds.X, row)
-		ds.Y = append(ds.Y, i%2)
+		x = append(x, row)
+		labels = append(labels, i%2)
 	}
-	return ds, y
+	return labeled("onehot", x, labels, 2), y
 }
 
 // BenchmarkTreeCoreFitRegressionOneHot measures the regression kernel on
@@ -125,7 +127,7 @@ func BenchmarkTreeCoreFitRegressionOneHot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tc := treeCore{params: TreeParams{MaxDepth: 16}}
-		if err := tc.fit(treeTask{v: ds.View(), t: y}, rand.New(rand.NewPCG(7, 0x11))); err != nil {
+		if err := tc.fit(treeTask{v: ds.All(), t: y}, rand.New(rand.NewPCG(7, 0x11))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -138,7 +140,7 @@ func BenchmarkTreeCoreFitRandomThreshold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tc := treeCore{params: TreeParams{MaxDepth: 16, MaxFeatures: 0.25, RandomThreshold: true}, classes: ds.Classes}
-		if err := tc.fit(treeTask{v: ds.View(), y: ds.Y}, rand.New(rand.NewPCG(7, 0x11))); err != nil {
+		if err := tc.fit(treeTask{v: ds.All(), y: ds.Y}, rand.New(rand.NewPCG(7, 0x11))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,7 +154,7 @@ func BenchmarkForestFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := NewForestClassifier(ForestParams{Trees: 20, Bootstrap: true, Tree: TreeParams{MaxDepth: 12}})
-		if _, err := f.Fit(ds.View(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
+		if _, err := f.Fit(ds.All(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,7 +168,7 @@ func BenchmarkHistGBTFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h := NewHistBoosting(HistBoostingParams{Rounds: 10, MaxDepth: 3})
-		if _, err := h.Fit(ds.View(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
+		if _, err := h.Fit(ds.All(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,10 +177,11 @@ func BenchmarkHistGBTFit(b *testing.B) {
 // gridShaped builds a classification dataset shaped like the grid's
 // preprocessed tables: continuous (tie-free) columns next to one-hot
 // indicator groups and binary flags.
-func gridShaped(n, classes int, seed uint64) *tabular.Dataset {
+func gridShaped(n, classes int, seed uint64) *tabular.Frame {
 	r := rand.New(rand.NewPCG(seed, 0x9d))
 	const continuous, groups, width, flags = 8, 3, 4, 4
-	ds := &tabular.Dataset{Name: "gridshaped", Classes: classes}
+	var x [][]float64
+	var y []int
 	for i := 0; i < n; i++ {
 		c := i % classes
 		row := make([]float64, 0, continuous+groups*width+flags)
@@ -198,10 +201,10 @@ func gridShaped(n, classes int, seed uint64) *tabular.Dataset {
 		for f := 0; f < flags; f++ {
 			row = append(row, float64(r.IntN(2)))
 		}
-		ds.X = append(ds.X, row)
-		ds.Y = append(ds.Y, c)
+		x = append(x, row)
+		y = append(y, c)
 	}
-	return ds
+	return labeled("gridshaped", x, y, classes)
 }
 
 // BenchmarkBoostingFit measures a gradient-boosting fit at the search
@@ -213,7 +216,7 @@ func BenchmarkBoostingFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := NewBoostingClassifier(BoostingParams{Rounds: 40, LearningRate: 0.1, Tree: TreeParams{MaxDepth: 3}})
-		if _, err := g.Fit(ds.View(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
+		if _, err := g.Fit(ds.All(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -230,7 +233,7 @@ func BenchmarkForestRegressorFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := NewForestRegressor(ForestParams{Trees: 20, Bootstrap: true, Tree: TreeParams{MaxDepth: 12, MinSamplesLeaf: 1, MaxFeatures: 0.8}})
-		if _, err := f.FitReg(ds.View(), y, rand.New(rand.NewPCG(9, 0x11))); err != nil {
+		if _, err := f.FitReg(ds.All(), y, rand.New(rand.NewPCG(9, 0x11))); err != nil {
 			b.Fatal(err)
 		}
 	}

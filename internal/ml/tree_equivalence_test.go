@@ -13,9 +13,10 @@ import (
 // continuous columns, tie-heavy low-cardinality columns, constant
 // columns (no valid split), and continuous columns that a few NaNs or a
 // mix of −0 and +0 keep from being tie-free.
-func equivDataset(n, d, classes int, seed uint64) *tabular.Dataset {
+func equivDataset(n, d, classes int, seed uint64) *tabular.Frame {
 	r := rand.New(rand.NewPCG(seed, 0xe9))
-	ds := &tabular.Dataset{Name: "equiv", Classes: classes}
+	var x [][]float64
+	var y []int
 	for i := 0; i < n; i++ {
 		row := make([]float64, d)
 		for j := range row {
@@ -43,10 +44,20 @@ func equivDataset(n, d, classes int, seed uint64) *tabular.Dataset {
 				}
 			}
 		}
-		ds.X = append(ds.X, row)
-		ds.Y = append(ds.Y, i%classes)
+		x = append(x, row)
+		y = append(y, i%classes)
 	}
-	return ds
+	return labeled("equiv", x, y, classes)
+}
+
+// viewRows copies a view's rows into the row-major matrix the legacy
+// kernel reads.
+func viewRows(v tabular.View) [][]float64 {
+	x := make([][]float64, v.Rows())
+	for i := range x {
+		x[i] = v.Row(i, nil)
+	}
+	return x
 }
 
 // TestTreeKernelMatchesLegacy asserts the rewritten CART kernel is
@@ -106,17 +117,11 @@ func checkKernelMatchesLegacy(t *testing.T, classes int, p TreeParams, seed uint
 	if dsClasses == 0 {
 		dsClasses = 3 // labels only seed the regression targets
 	}
-	ds := equivDataset(n, 9, dsClasses, seed)
-	view := ds.View()
-	x, y := ds.X, ds.Y
+	view := equivDataset(n, 9, dsClasses, seed).All()
 	if rows != nil {
 		view = view.Select(rows)
-		x, y = nil, nil
-		for _, i := range rows {
-			x = append(x, ds.X[i])
-			y = append(y, ds.Y[i])
-		}
 	}
+	x, y := viewRows(view), view.LabelsInto(nil)
 	task := treeTask{v: view}
 	legacyTask := legacyTreeTask{x: x}
 	if classes > 0 {
@@ -270,10 +275,11 @@ func fuzzCell(b byte) float64 {
 // the same order, so ties, tie-free and constant columns survive. NaN
 // and −0 keep their own bytes; a target byte follows from the label and
 // column 0.
-func encodeFuzzRows(ds *tabular.Dataset) []byte {
-	d := len(ds.X[0])
-	raw := make([]byte, 0, len(ds.X)*(d+1))
-	for i, row := range ds.X {
+func encodeFuzzRows(ds *tabular.Frame) []byte {
+	x := viewRows(ds.All())
+	d := len(x[0])
+	raw := make([]byte, 0, len(x)*(d+1))
+	for i, row := range x {
 		for j, v := range row {
 			switch {
 			case math.IsNaN(v):
@@ -283,7 +289,7 @@ func encodeFuzzRows(ds *tabular.Dataset) []byte {
 			default:
 				rank := 0
 				seen := map[float64]bool{}
-				for _, other := range ds.X {
+				for _, other := range x {
 					if w := other[j]; w < v && !seen[w] {
 						seen[w] = true
 						rank++

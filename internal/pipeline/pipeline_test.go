@@ -17,14 +17,17 @@ import (
 
 func testRNG(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, 0x91)) }
 
-func blob(n int, rng *rand.Rand) *tabular.Dataset {
-	ds := &tabular.Dataset{Name: "blob", Classes: 2}
+func blob(n int, rng *rand.Rand) *tabular.Frame {
+	var x [][]float64
+	var y []int
 	for i := 0; i < n; i++ {
 		c := i % 2
-		ds.X = append(ds.X, []float64{4*float64(c) + rng.NormFloat64(), rng.NormFloat64()})
-		ds.Y = append(ds.Y, c)
+		x = append(x, []float64{4*float64(c) + rng.NormFloat64(), rng.NormFloat64()})
+		y = append(y, c)
 	}
-	return ds
+	f := tabular.FromRows(x).Frame()
+	f.Name, f.Y, f.Classes = "blob", y, 2
+	return f
 }
 
 func TestSpaceSampleWithinBounds(t *testing.T) {
@@ -160,10 +163,10 @@ func TestRegistryBuildsEveryFamily(t *testing.T) {
 		if p.ModelFamily != family {
 			t.Errorf("built family %q, want %q", p.ModelFamily, family)
 		}
-		if _, err := p.Fit(train.View(), testRNG(7)); err != nil {
+		if _, err := p.Fit(train.All(), testRNG(7)); err != nil {
 			t.Fatalf("%s: fit: %v", family, err)
 		}
-		pred, cost := p.Predict(train.View())
+		pred, cost := p.Predict(train.All())
 		if cost.Total() <= 0 {
 			t.Errorf("%s: no prediction cost", family)
 		}
@@ -269,7 +272,7 @@ func TestBuildAppliesPreprocessors(t *testing.T) {
 
 func TestPipelineNilModel(t *testing.T) {
 	p := &Pipeline{}
-	if _, err := p.Fit(blob(10, testRNG(8)).View(), testRNG(9)); err == nil {
+	if _, err := p.Fit(blob(10, testRNG(8)).All(), testRNG(9)); err == nil {
 		t.Error("nil model accepted")
 	}
 	if p.ParallelFrac() != 0 {
@@ -316,10 +319,10 @@ func TestExtendedModelsOptIn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", family, err)
 		}
-		if _, err := p.Fit(train.View(), testRNG(61)); err != nil {
+		if _, err := p.Fit(train.All(), testRNG(61)); err != nil {
 			t.Fatalf("%s fit: %v", family, err)
 		}
-		pred, _ := p.Predict(train.View())
+		pred, _ := p.Predict(train.All())
 		if acc := metrics.Accuracy(train.Y, pred); acc < 0.9 {
 			t.Errorf("%s training accuracy %.3f", family, acc)
 		}
@@ -371,7 +374,7 @@ func TestFitReleasesIntermediateFrameOnTransformError(t *testing.T) {
 		Pre:   []preprocess.Transformer{stage, failingTransformer{}},
 		Model: failingModel{},
 	}
-	if _, err := p.Fit(blob(12, testRNG(3)).View(), testRNG(4)); err == nil {
+	if _, err := p.Fit(blob(12, testRNG(3)).All(), testRNG(4)); err == nil {
 		t.Fatal("failing transformer did not surface an error")
 	}
 	if stage.out == nil {
@@ -388,7 +391,7 @@ func TestFitReleasesIntermediateFrameOnModelError(t *testing.T) {
 		Pre:   []preprocess.Transformer{stage},
 		Model: failingModel{},
 	}
-	if _, err := p.Fit(blob(12, testRNG(5)).View(), testRNG(6)); err == nil {
+	if _, err := p.Fit(blob(12, testRNG(5)).All(), testRNG(6)); err == nil {
 		t.Fatal("failing model did not surface an error")
 	}
 	if stage.out.Cols != nil {

@@ -10,18 +10,20 @@ import (
 
 func testRNG(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, 0x9e)) }
 
-func sample() *tabular.Dataset {
-	return &tabular.Dataset{
-		Name: "sample",
-		X: [][]float64{
-			{1, 10, 0},
-			{2, 20, 1},
-			{3, 30, 0},
-			{4, 40, 1},
-		},
-		Y:       []int{0, 0, 1, 1},
-		Classes: 2,
-	}
+// labeled builds a labeled frame from row-major fixture rows.
+func labeled(name string, x [][]float64, y []int, classes int) *tabular.Frame {
+	f := tabular.FromRows(x).Frame()
+	f.Name, f.Y, f.Classes = name, y, classes
+	return f
+}
+
+func sample() *tabular.Frame {
+	return labeled("sample", [][]float64{
+		{1, 10, 0},
+		{2, 20, 1},
+		{3, 30, 0},
+		{4, 40, 1},
+	}, []int{0, 0, 1, 1}, 2)
 }
 
 func allTransformers() map[string]Transformer {
@@ -44,26 +46,24 @@ func allTransformers() map[string]Transformer {
 func TestFitTransformMatchesTransform(t *testing.T) {
 	for name, tr := range allTransformers() {
 		ds := sample()
-		out, cost, err := tr.FitTransform(ds.View(), testRNG(1))
+		out, cost, err := tr.FitTransform(ds.All(), testRNG(1))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if name != "identity" && cost.Total() <= 0 {
 			t.Errorf("%s: no cost reported", name)
 		}
-		outRows := out.MaterializeRows()
-		again, _ := tr.Transform(ds.View())
-		againRows := again.MaterializeRows()
-		if len(againRows) != len(outRows) {
+		again, _ := tr.Transform(ds.All())
+		if again.Rows() != out.Rows() {
 			t.Fatalf("%s: row count changed", name)
 		}
-		for i := range againRows {
-			if len(againRows[i]) != len(outRows[i]) {
-				t.Fatalf("%s: width changed: %d vs %d", name, len(againRows[i]), len(outRows[i]))
-			}
-			for j := range againRows[i] {
-				if math.Abs(againRows[i][j]-outRows[i][j]) > 1e-9 {
-					t.Fatalf("%s: cell (%d,%d) differs: %v vs %v", name, i, j, againRows[i][j], outRows[i][j])
+		if again.Features() != out.Features() {
+			t.Fatalf("%s: width changed: %d vs %d", name, again.Features(), out.Features())
+		}
+		for i := 0; i < again.Rows(); i++ {
+			for j := 0; j < again.Features(); j++ {
+				if math.Abs(again.At(i, j)-out.At(i, j)) > 1e-9 {
+					t.Fatalf("%s: cell (%d,%d) differs: %v vs %v", name, i, j, again.At(i, j), out.At(i, j))
 				}
 			}
 		}
@@ -76,9 +76,9 @@ func TestFitTransformMatchesTransform(t *testing.T) {
 
 func TestImputerFillsNaN(t *testing.T) {
 	ds := sample()
-	ds.X[1][0] = math.NaN()
+	ds.Cols[0][1] = math.NaN()
 	im := &Imputer{}
-	out, _, err := im.FitTransform(ds.View(), testRNG(2))
+	out, _, err := im.FitTransform(ds.All(), testRNG(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,8 @@ func TestImputerFillsNaN(t *testing.T) {
 	}
 	med := &Imputer{Median: true}
 	ds2 := sample()
-	ds2.X[0][1] = math.NaN()
-	out2, _, _ := med.FitTransform(ds2.View(), testRNG(3))
+	ds2.Cols[1][0] = math.NaN()
+	out2, _, _ := med.FitTransform(ds2.All(), testRNG(3))
 	// Median of {20,30,40} = 30.
 	if out2.At(0, 1) != 30 {
 		t.Errorf("median imputation %v, want 30", out2.At(0, 1))
@@ -104,7 +104,7 @@ func TestImputerFillsNaN(t *testing.T) {
 func TestStandardScalerStats(t *testing.T) {
 	ds := sample()
 	s := &StandardScaler{}
-	out, _, err := s.FitTransform(ds.View(), testRNG(4))
+	out, _, err := s.FitTransform(ds.All(), testRNG(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestStandardScalerStats(t *testing.T) {
 func TestMinMaxScalerRange(t *testing.T) {
 	ds := sample()
 	s := &MinMaxScaler{}
-	out, _, err := s.FitTransform(ds.View(), testRNG(5))
+	out, _, err := s.FitTransform(ds.All(), testRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,21 +140,17 @@ func TestMinMaxScalerRange(t *testing.T) {
 		}
 	}
 	// Constant columns survive (span guards against /0).
-	flat := &tabular.Dataset{X: [][]float64{{5}, {5}}, Y: []int{0, 1}, Classes: 2}
-	out2, _, err := (&MinMaxScaler{}).FitTransform(flat.View(), testRNG(6))
+	flat := labeled("", [][]float64{{5}, {5}}, []int{0, 1}, 2)
+	out2, _, err := (&MinMaxScaler{}).FitTransform(flat.All(), testRNG(6))
 	if err != nil || math.IsNaN(out2.At(0, 0)) {
 		t.Errorf("constant column broke min-max: %v %v", out2.At(0, 0), err)
 	}
 }
 
 func TestRobustScalerIgnoresOutliers(t *testing.T) {
-	ds := &tabular.Dataset{
-		X:       [][]float64{{1}, {2}, {3}, {4}, {1000}},
-		Y:       []int{0, 0, 1, 1, 1},
-		Classes: 2,
-	}
+	ds := labeled("", [][]float64{{1}, {2}, {3}, {4}, {1000}}, []int{0, 0, 1, 1, 1}, 2)
 	r := &RobustScaler{}
-	out, _, err := r.FitTransform(ds.View(), testRNG(7))
+	out, _, err := r.FitTransform(ds.All(), testRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,19 +164,15 @@ func TestRobustScalerIgnoresOutliers(t *testing.T) {
 }
 
 func TestOneHotEncoder(t *testing.T) {
-	ds := &tabular.Dataset{
-		X: [][]float64{
-			{0, 1.5},
-			{1, 2.5},
-			{2, 3.5},
-			{0, 4.5},
-		},
-		Y:       []int{0, 1, 0, 1},
-		Classes: 2,
-		Kinds:   []tabular.FeatureKind{tabular.Categorical, tabular.Numeric},
-	}
+	ds := labeled("", [][]float64{
+		{0, 1.5},
+		{1, 2.5},
+		{2, 3.5},
+		{0, 4.5},
+	}, []int{0, 1, 0, 1}, 2)
+	ds.Kinds = []tabular.FeatureKind{tabular.Categorical, tabular.Numeric}
 	e := &OneHotEncoder{}
-	out, _, err := e.FitTransform(ds.View(), testRNG(8))
+	out, _, err := e.FitTransform(ds.All(), testRNG(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +193,16 @@ func TestOneHotEncoder(t *testing.T) {
 		t.Errorf("unseen category indicators [%v %v %v]", unseen.At(0, 0), unseen.At(0, 1), unseen.At(0, 2))
 	}
 	// High-cardinality columns pass through untouched.
-	wide := &tabular.Dataset{Classes: 2, Kinds: []tabular.FeatureKind{tabular.Categorical}}
+	var wideX [][]float64
+	var wideY []int
 	for i := 0; i < 40; i++ {
-		wide.X = append(wide.X, []float64{float64(i)})
-		wide.Y = append(wide.Y, i%2)
+		wideX = append(wideX, []float64{float64(i)})
+		wideY = append(wideY, i%2)
 	}
+	wide := labeled("", wideX, wideY, 2)
+	wide.Kinds = []tabular.FeatureKind{tabular.Categorical}
 	e2 := &OneHotEncoder{MaxCategories: 8}
-	out2, _, err := e2.FitTransform(wide.View(), testRNG(9))
+	out2, _, err := e2.FitTransform(wide.All(), testRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,17 +212,13 @@ func TestOneHotEncoder(t *testing.T) {
 }
 
 func TestVarianceThresholdDropsConstants(t *testing.T) {
-	ds := &tabular.Dataset{
-		X: [][]float64{
-			{1, 7, 0.1},
-			{2, 7, 0.2},
-			{3, 7, 0.3},
-		},
-		Y:       []int{0, 1, 0},
-		Classes: 2,
-	}
+	ds := labeled("", [][]float64{
+		{1, 7, 0.1},
+		{2, 7, 0.2},
+		{3, 7, 0.3},
+	}, []int{0, 1, 0}, 2)
 	v := &VarianceThreshold{Threshold: 0.001}
-	out, _, err := v.FitTransform(ds.View(), testRNG(10))
+	out, _, err := v.FitTransform(ds.All(), testRNG(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +226,8 @@ func TestVarianceThresholdDropsConstants(t *testing.T) {
 		t.Fatalf("kept %d columns, want 2 (constant column dropped)", out.Features())
 	}
 	// All-constant input keeps one column rather than none.
-	flat := &tabular.Dataset{X: [][]float64{{1, 1}, {1, 1}}, Y: []int{0, 1}, Classes: 2}
-	out2, _, _ := (&VarianceThreshold{Threshold: 0.5}).FitTransform(flat.View(), testRNG(11))
+	flat := labeled("", [][]float64{{1, 1}, {1, 1}}, []int{0, 1}, 2)
+	out2, _, _ := (&VarianceThreshold{Threshold: 0.5}).FitTransform(flat.All(), testRNG(11))
 	if out2.Features() != 1 {
 		t.Errorf("all-constant input kept %d columns, want 1", out2.Features())
 	}
@@ -244,15 +235,17 @@ func TestVarianceThresholdDropsConstants(t *testing.T) {
 
 func TestSelectKBestKeepsInformativeColumns(t *testing.T) {
 	rng := testRNG(12)
-	ds := &tabular.Dataset{Classes: 2}
+	var x [][]float64
+	var y []int
 	for i := 0; i < 100; i++ {
 		c := i % 2
 		// Column 0: informative. Columns 1, 2: noise.
-		ds.X = append(ds.X, []float64{5*float64(c) + rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()})
-		ds.Y = append(ds.Y, c)
+		x = append(x, []float64{5*float64(c) + rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()})
+		y = append(y, c)
 	}
+	ds := labeled("", x, y, 2)
 	s := &SelectKBest{K: 1}
-	out, _, err := s.FitTransform(ds.View(), rng)
+	out, _, err := s.FitTransform(ds.All(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,15 +272,17 @@ func TestSelectKBestKeepsInformativeColumns(t *testing.T) {
 
 func TestPCADimensionAndVariance(t *testing.T) {
 	rng := testRNG(13)
-	ds := &tabular.Dataset{Classes: 2}
+	var x [][]float64
+	var y []int
 	// Data varies along one dominant direction.
 	for i := 0; i < 120; i++ {
 		s := rng.NormFloat64() * 5
-		ds.X = append(ds.X, []float64{s + 0.1*rng.NormFloat64(), s + 0.1*rng.NormFloat64(), 0.1 * rng.NormFloat64()})
-		ds.Y = append(ds.Y, i%2)
+		x = append(x, []float64{s + 0.1*rng.NormFloat64(), s + 0.1*rng.NormFloat64(), 0.1 * rng.NormFloat64()})
+		y = append(y, i%2)
 	}
+	ds := labeled("", x, y, 2)
 	p := &PCA{K: 2}
-	out, _, err := p.FitTransform(ds.View(), rng)
+	out, _, err := p.FitTransform(ds.All(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +301,7 @@ func TestPCADimensionAndVariance(t *testing.T) {
 	}
 	// K clamps to the width.
 	p2 := &PCA{K: 99}
-	out2, _, _ := p2.FitTransform(ds.View(), rng)
+	out2, _, _ := p2.FitTransform(ds.All(), rng)
 	if out2.Features() != 3 {
 		t.Errorf("PCA K clamp: got %d components", out2.Features())
 	}
@@ -314,7 +309,7 @@ func TestPCADimensionAndVariance(t *testing.T) {
 
 func TestSelectKBestEmptyData(t *testing.T) {
 	s := &SelectKBest{K: 1}
-	if _, _, err := s.FitTransform((&tabular.Dataset{Classes: 2}).View(), testRNG(14)); err == nil {
+	if _, _, err := s.FitTransform((&tabular.Frame{Classes: 2}).All(), testRNG(14)); err == nil {
 		t.Error("empty dataset accepted")
 	}
 }

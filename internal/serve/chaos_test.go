@@ -140,7 +140,7 @@ func TestChaosPanicStormBreakerRecovery(t *testing.T) {
 		BatchWindow: time.Millisecond, BatchMax: 4, QueueCap: 64,
 		BreakerThreshold: 3, BreakerCooldown: 5 * time.Millisecond,
 	})
-	e.Swap(&Model{Name: "flaky", Pred: p, Classes: 2, Majority: 1,
+	e.Swap(&Model{Name: "flaky", Pred: p, Features: 1, Classes: 2, Majority: 1,
 		Priors: []float64{0.25, 0.75}, RowCost: ml.Cost{Generic: rowFLOPs}})
 
 	rep := LoadGen{Rate: 2000, Requests: 400, Seed: 17}.Run(e, loadSource())

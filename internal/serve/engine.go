@@ -313,11 +313,18 @@ func (e *Engine) flush(ft time.Duration) []Response {
 	var out []Response
 	alive := make([]Request, 0, len(batch))
 	for _, r := range batch {
-		if r.Deadline > 0 && r.Deadline < ft {
+		switch {
+		case r.Deadline > 0 && r.Deadline < ft:
 			// The deadline passed while queued: abandon before
 			// spending predict work.
 			out = append(out, e.resolveCheap(r, Expired, "deadline passed in queue"))
-		} else {
+		case len(r.Row) != e.model.Features:
+			// Checked at flush, against the model that will predict
+			// (a reload may have swapped it since admission). The
+			// request's own fault: no predict, no breaker failure.
+			msg := fmt.Sprintf("row has %d features, model %q takes %d", len(r.Row), e.model.Name, e.model.Features)
+			out = append(out, e.resolveCheap(r, Failed, msg))
+		default:
 			alive = append(alive, r)
 		}
 	}

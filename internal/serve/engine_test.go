@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -60,6 +61,7 @@ func testModel(p Predictor) *Model {
 	return &Model{
 		Name:     "scripted",
 		Pred:     p,
+		Features: 1,
 		Classes:  2,
 		Majority: 1,
 		Priors:   []float64{0.25, 0.75},
@@ -241,7 +243,7 @@ func TestDeadlineExpiresDuringPredict(t *testing.T) {
 	// work was spent: the expired request is still charged its share.
 	slow := &scriptedPredictor{classes: 2}
 	e := NewEngine(&Model{
-		Name: "slow", Pred: slow, Classes: 2, Majority: 0, Priors: []float64{0.5, 0.5},
+		Name: "slow", Pred: slow, Features: 1, Classes: 2, Majority: 0, Priors: []float64{0.5, 0.5},
 		RowCost: ml.Cost{Generic: rowFLOPs / 10},
 	}, hw.XeonGold6132(), Config{BatchWindow: time.Millisecond})
 	resps := e.Submit(Request{ID: 1, Row: []float64{0}, Arrival: 0, Deadline: 1200 * time.Microsecond})
@@ -376,7 +378,7 @@ func TestSwapKeepsInFlightRequests(t *testing.T) {
 
 	// Hot reload mid-window: a "model" that always answers class 0.
 	always0 := &scriptedPredictor{classes: 2, failAt: nil}
-	e.Swap(&Model{Name: "v2", Pred: alwaysClass0{always0}, Classes: 2, Majority: 0,
+	e.Swap(&Model{Name: "v2", Pred: alwaysClass0{always0}, Features: 1, Classes: 2, Majority: 0,
 		Priors: []float64{0.9, 0.1}, RowCost: ml.Cost{Generic: rowFLOPs}})
 
 	all := e.AdvanceTo(time.Second)
@@ -391,6 +393,69 @@ func TestSwapKeepsInFlightRequests(t *testing.T) {
 	if e.Stats().Model != "v2" {
 		t.Fatalf("stats report model %q after swap", e.Stats().Model)
 	}
+}
+
+// TestEngineFailsRowsOfAnotherWidth batches rows wider and narrower than
+// the model's one feature with rows that fit. A batch used to take its
+// width from its first row: a wider row after it panicked outside
+// predict's recover, and a narrower one was zero-filled and served. Each
+// misfit now fails on its own, the fitting rows are served, the breaker
+// stays closed (the model did nothing wrong), and the ledger conserves.
+// A swap to a wider model moves the check with it.
+func TestEngineFailsRowsOfAnotherWidth(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		rows       [][]float64
+		wantFailed []bool
+	}{
+		{"wider after fitting", [][]float64{{1}, {0, 5, 6}}, []bool{false, true}},
+		{"fitting after wider", [][]float64{{1, 9, 9}, {1}}, []bool{true, false}},
+		{"empty row", [][]float64{{}, {0}}, []bool{true, false}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := testEngine(t, &scriptedPredictor{classes: 2}, Config{BatchWindow: time.Millisecond})
+			for i, row := range tc.rows {
+				e.Submit(Request{ID: uint64(i), Row: row, Arrival: 0})
+			}
+			all := e.AdvanceTo(time.Second)
+			if len(all) != len(tc.rows) {
+				t.Fatalf("%d of %d requests resolved", len(all), len(tc.rows))
+			}
+			for _, r := range all {
+				row := tc.rows[r.ID]
+				if !tc.wantFailed[r.ID] {
+					if r.Outcome != Served || r.Class != int(row[0]) {
+						t.Fatalf("fitting row %v: %v class %d (%s), want served class %d", row, r.Outcome, r.Class, r.Err, int(row[0]))
+					}
+					continue
+				}
+				want := fmt.Sprintf("row has %d features, model %q takes 1", len(row), "scripted")
+				if r.Outcome != Failed || r.Err != want || r.Class != -1 || r.Proba != nil {
+					t.Fatalf("row %v: %v class %d %q, want failed %q", row, r.Outcome, r.Class, r.Err, want)
+				}
+			}
+			if st := e.Stats(); st.Breaker != BreakerClosed || st.BreakerTrips != 0 {
+				t.Fatalf("width misfits moved the breaker: %v, %d trips", st.Breaker, st.BreakerTrips)
+			}
+			checkConservation(t, e, all)
+		})
+	}
+
+	t.Run("swap", func(t *testing.T) {
+		e := testEngine(t, &scriptedPredictor{classes: 2}, Config{BatchWindow: time.Millisecond})
+		e.Submit(Request{ID: 1, Row: []float64{1}, Arrival: 0})
+		e.Swap(&Model{Name: "wide", Pred: &scriptedPredictor{classes: 2}, Features: 3, Classes: 2,
+			Priors: []float64{0.5, 0.5}, RowCost: ml.Cost{Generic: rowFLOPs}})
+		e.Submit(Request{ID: 2, Row: []float64{1, 0, 0}, Arrival: 0})
+		all := e.AdvanceTo(time.Second)
+		if len(all) != 2 || all[0].Outcome != Failed || all[1].Outcome != Served {
+			t.Fatalf("after a swap to a 3-feature model: %+v, want the 1-feature row failed and the 3-feature row served", all)
+		}
+		if !strings.Contains(all[0].Err, `model "wide" takes 3`) {
+			t.Fatalf("error %q does not name the swapped model's width", all[0].Err)
+		}
+		checkConservation(t, e, all)
+	})
 }
 
 // alwaysClass0 wraps a predictor and forces class 0 — the "new version"

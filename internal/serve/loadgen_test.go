@@ -8,11 +8,10 @@ import (
 	"repro/internal/tabular"
 )
 
-// loadSource is a tiny unlabeled frame the generator samples rows from.
+// loadSource is a tiny unlabeled frame the generator samples rows from,
+// one feature wide like testModel.
 func loadSource() tabular.View {
-	return tabular.FromRows([][]float64{
-		{0, 1.5}, {1, -0.5}, {0, 2.5}, {1, 0.25}, {1, -1.0},
-	})
+	return tabular.FromRows([][]float64{{0}, {1}, {0}, {1}, {1}})
 }
 
 func sumOutcomes(o [numOutcomes]int) int {

@@ -53,7 +53,7 @@ const (
 	// while the circuit breaker holds the primary model open.
 	Degraded
 	// Failed is an admitted request whose predict batch panicked or
-	// timed out.
+	// timed out, or whose row is not as wide as the served model's.
 	Failed
 	numOutcomes
 )
@@ -90,6 +90,9 @@ type Model struct {
 	Name string
 	// Pred is the primary predictor.
 	Pred Predictor
+	// Features is the row width the model was trained on; rows of any
+	// other width fail before predict.
+	Features int
 	// Classes is the task's class count.
 	Classes int
 	// Majority is the fallback tier's answer.
@@ -113,6 +116,7 @@ func NewModel(a *artifact.Model) *Model {
 	return &Model{
 		Name:     a.Spec.Dataset,
 		Pred:     a.Pipe,
+		Features: a.Spec.Train.Features(),
 		Classes:  a.Classes,
 		Majority: a.Majority,
 		Priors:   a.Priors,

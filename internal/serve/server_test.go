@@ -18,6 +18,7 @@ func serverModel(p Predictor) *Model {
 	return &Model{
 		Name:     "wall",
 		Pred:     p,
+		Features: 1,
 		Classes:  2,
 		Majority: 1,
 		Priors:   []float64{0.25, 0.75},

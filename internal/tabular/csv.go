@@ -36,12 +36,12 @@ func (o CSVOptions) normalized() CSVOptions {
 	return o
 }
 
-// ReadCSV parses a delimited file into a Dataset: numeric columns stay
-// numeric (missing cells become NaN for the imputer), non-numeric columns
-// are ordinal-encoded as categorical codes, and the target column becomes
-// integer class labels. This is the entry point for running the library
-// on real data rather than the synthetic AMLB replicas.
-func ReadCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
+// ReadCSV parses a delimited file into a labeled Frame: numeric columns
+// stay numeric (missing cells become NaN for the imputer), non-numeric
+// columns are ordinal-encoded as categorical codes, and the target column
+// becomes integer class labels. This is the entry point for running the
+// library on real data rather than the synthetic AMLB replicas.
+func ReadCSV(r io.Reader, opts CSVOptions) (*Frame, error) {
 	opts = opts.normalized()
 	reader := csv.NewReader(r)
 	reader.TrimLeadingSpace = true
@@ -84,6 +84,9 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
 	}
 
 	width := len(names)
+	if width < 2 {
+		return nil, fmt.Errorf("tabular: csv needs a target and at least one feature column, got %d column(s)", width)
+	}
 	for i, row := range data {
 		if len(row) != width {
 			return nil, fmt.Errorf("tabular: row %d has %d cells, want %d", i+1, len(row), width)
@@ -144,51 +147,31 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
 		infos[j] = info
 	}
 
-	// Target labels: categorical columns use their codes; numeric
-	// targets must hold small non-negative integers.
-	targetInfo := infos[target]
-	classes := len(targetInfo.order)
-	labelOf := func(cell string) (int, error) {
-		cell = strings.TrimSpace(cell)
-		if targetInfo.numeric && targetInfo.codes == nil {
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				return 0, err
-			}
-			return int(v), nil
-		}
-		code, ok := targetInfo.codes[cell]
-		if !ok {
-			return 0, fmt.Errorf("unknown label %q", cell)
-		}
-		return code, nil
-	}
-	if targetInfo.numeric && targetInfo.codes != nil {
-		// Numeric strings as categories — use codes anyway.
-		classes = len(targetInfo.order)
-	}
-
-	ds := &Dataset{Name: "csv", Classes: classes, Kinds: make([]FeatureKind, 0, width-1)}
+	// Target labels are the codes of the sorted distinct label strings,
+	// numeric or not: "10" sorts before "2". A missing label has no code.
+	f := NewFrame("csv", len(data), width-1)
+	f.Y = make([]int, len(data))
+	f.Classes = len(infos[target].order)
+	f.Kinds = make([]FeatureKind, 0, width-1)
 	for j := 0; j < width; j++ {
 		if j == target {
 			continue
 		}
 		if infos[j].numeric {
-			ds.Kinds = append(ds.Kinds, Numeric)
+			f.Kinds = append(f.Kinds, Numeric)
 		} else {
-			ds.Kinds = append(ds.Kinds, Categorical)
+			f.Kinds = append(f.Kinds, Categorical)
 		}
 	}
 
 	for i, row := range data {
-		label, err := labelOf(row[target])
-		if err != nil {
-			return nil, fmt.Errorf("tabular: row %d: %w", i+1, err)
+		label := strings.TrimSpace(row[target])
+		code, ok := infos[target].codes[label]
+		if !ok {
+			return nil, fmt.Errorf("tabular: row %d: unknown label %q", i+1, label)
 		}
-		if label < 0 || label >= classes {
-			return nil, fmt.Errorf("tabular: row %d: label %d outside [0,%d)", i+1, label, classes)
-		}
-		features := make([]float64, 0, width-1)
+		f.Y[i] = code
+		k := 0
 		for j, cell := range row {
 			if j == target {
 				continue
@@ -196,25 +179,24 @@ func ReadCSV(r io.Reader, opts CSVOptions) (*Dataset, error) {
 			cell = strings.TrimSpace(cell)
 			switch {
 			case isMissing(cell, opts.MissingValues):
-				features = append(features, math.NaN())
+				f.Cols[k][i] = math.NaN()
 			case infos[j].numeric:
 				v, err := strconv.ParseFloat(cell, 64)
 				if err != nil {
 					return nil, fmt.Errorf("tabular: row %d column %q: %w", i+1, names[j], err)
 				}
-				features = append(features, v)
+				f.Cols[k][i] = v
 			default:
-				features = append(features, float64(infos[j].codes[cell]))
+				f.Cols[k][i] = float64(infos[j].codes[cell])
 			}
+			k++
 		}
-		ds.X = append(ds.X, features)
-		ds.Y = append(ds.Y, label)
 	}
 
-	if err := ds.Validate(); err != nil {
+	if err := f.Validate(); err != nil {
 		return nil, fmt.Errorf("tabular: parsed csv invalid: %w", err)
 	}
-	return ds, nil
+	return f, nil
 }
 
 func isMissing(cell string, missing []string) bool {

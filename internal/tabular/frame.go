@@ -106,9 +106,10 @@ func (f *Frame) Release() {
 	f.Cols = nil
 }
 
-// FromRows builds an unlabeled frame from row-major data — the adapter
-// for prediction inputs that arrive as rows (stacked meta-features,
-// external callers).
+// FromRows builds an unlabeled frame from row-major data. It is the one
+// row-to-column adapter, for inputs that arrive as rows: Bayesian
+// optimization's config vectors and the serving engine's request batches.
+// Every row must be as wide as row 0.
 func FromRows(x [][]float64) View {
 	if len(x) == 0 {
 		return (&Frame{}).All()
@@ -397,24 +398,6 @@ func (v View) Materialize() *Frame {
 		f.Y = v.LabelsInto(make([]int, n))
 	}
 	return f
-}
-
-// MaterializeRows copies the view into a freshly allocated row-major
-// matrix — the adapter back to external [][]float64 consumers.
-func (v View) MaterializeRows() [][]float64 {
-	n, d := v.Rows(), v.Features()
-	out := make([][]float64, n)
-	backing := make([]float64, n*d)
-	for i := 0; i < n; i++ {
-		out[i] = backing[i*d : (i+1)*d : (i+1)*d]
-	}
-	for j := 0; j < d; j++ {
-		col := v.f.Cols[j]
-		for i := 0; i < n; i++ {
-			out[i][j] = col[v.RowIndex(i)]
-		}
-	}
-	return out
 }
 
 // Validate reports a descriptive error if the viewed data is malformed.

@@ -11,17 +11,12 @@
 // cross-validation, stratified subsampling — all as index permutations
 // over a shared Frame rather than matrix copies.
 //
-// Dataset is the thin row-major adapter kept for CSV loading and external
-// callers that naturally produce rows; Frame()/View() convert once into
-// the columnar representation everything downstream consumes.
+// ReadCSV parses straight into a Frame. FromRows is the one row-major
+// adapter, kept for the rows that really arrive as rows: Bayesian
+// optimization's config vectors and the serving engine's request batches.
 package tabular
 
-import (
-	"errors"
-	"fmt"
-	"math/rand/v2"
-	"sync"
-)
+import "math/rand/v2"
 
 // FeatureKind distinguishes numeric from categorical attributes.
 type FeatureKind int
@@ -41,162 +36,6 @@ func (k FeatureKind) String() string {
 	}
 	return "numeric"
 }
-
-// Dataset is the row-major adapter for supervised classification data:
-// the ingestion format of the CSV loader and external examples. Internal
-// consumers work on the columnar Frame obtained via Frame()/View();
-// conversion transposes once and is cached, so the adapter must not be
-// mutated after the first conversion.
-type Dataset struct {
-	// Name identifies the dataset (e.g. the OpenML task name).
-	Name string
-	// X is the row-major feature matrix; all rows have equal length.
-	X [][]float64
-	// Y holds one class label in [0, Classes) per row.
-	Y []int
-	// Kinds gives the kind of each feature column. A nil Kinds means
-	// all-numeric.
-	Kinds []FeatureKind
-	// Classes is the number of distinct class labels.
-	Classes int
-
-	frameOnce sync.Once
-	frame     *Frame
-}
-
-// Rows reports the number of instances.
-func (d *Dataset) Rows() int { return len(d.X) }
-
-// Features reports the number of attribute columns.
-func (d *Dataset) Features() int {
-	if len(d.X) == 0 {
-		return 0
-	}
-	return len(d.X[0])
-}
-
-// Kind reports the kind of feature j, defaulting to Numeric when Kinds is
-// nil.
-func (d *Dataset) Kind(j int) FeatureKind {
-	if d.Kinds == nil || j < 0 || j >= len(d.Kinds) {
-		return Numeric
-	}
-	return d.Kinds[j]
-}
-
-// NumCategorical reports how many features are categorical.
-func (d *Dataset) NumCategorical() int {
-	n := 0
-	for _, k := range d.Kinds {
-		if k == Categorical {
-			n++
-		}
-	}
-	return n
-}
-
-// Validate reports a descriptive error if the dataset is malformed.
-func (d *Dataset) Validate() error {
-	if len(d.X) == 0 {
-		return errors.New("tabular: dataset has no rows")
-	}
-	if len(d.Y) != len(d.X) {
-		return fmt.Errorf("tabular: %d rows but %d labels", len(d.X), len(d.Y))
-	}
-	if d.Classes < 2 {
-		return fmt.Errorf("tabular: need >= 2 classes, got %d", d.Classes)
-	}
-	width := len(d.X[0])
-	if width == 0 {
-		return errors.New("tabular: dataset has no features")
-	}
-	if d.Kinds != nil && len(d.Kinds) != width {
-		return fmt.Errorf("tabular: %d features but %d kinds", width, len(d.Kinds))
-	}
-	for i, row := range d.X {
-		if len(row) != width {
-			return fmt.Errorf("tabular: row %d has %d features, want %d", i, len(row), width)
-		}
-	}
-	for i, y := range d.Y {
-		if y < 0 || y >= d.Classes {
-			return fmt.Errorf("tabular: label %d of row %d outside [0,%d)", y, i, d.Classes)
-		}
-	}
-	return nil
-}
-
-// Frame converts the adapter into columnar storage. The transpose
-// happens once per dataset (guarded for concurrent callers); subsequent
-// calls return the cached frame.
-func (d *Dataset) Frame() *Frame {
-	d.frameOnce.Do(func() {
-		f := NewFrame(d.Name, d.Rows(), d.Features())
-		f.Y = d.Y
-		f.Kinds = d.Kinds
-		f.Classes = d.Classes
-		for i, row := range d.X {
-			for j, v := range row {
-				f.Cols[j][i] = v
-			}
-		}
-		d.frame = f
-	})
-	return d.frame
-}
-
-// View returns the identity view of the dataset's columnar frame.
-func (d *Dataset) View() View { return d.Frame().All() }
-
-// CloneDeep returns a dataset with fully copied feature rows and labels.
-func (d *Dataset) CloneDeep() *Dataset {
-	out := &Dataset{
-		Name:    d.Name,
-		X:       make([][]float64, len(d.X)),
-		Y:       append([]int(nil), d.Y...),
-		Classes: d.Classes,
-	}
-	if d.Kinds != nil {
-		out.Kinds = append([]FeatureKind(nil), d.Kinds...)
-	}
-	for i, row := range d.X {
-		out.X[i] = append([]float64(nil), row...)
-	}
-	return out
-}
-
-// ClassCounts returns the number of instances per class.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, y := range d.Y {
-		if y >= 0 && y < d.Classes {
-			counts[y]++
-		}
-	}
-	return counts
-}
-
-// TrainTestSplit applies the paper's 66/34 split (§3.1) as zero-copy
-// views of the dataset's frame.
-func (d *Dataset) TrainTestSplit(rng *rand.Rand) (train, test View) {
-	return d.View().TrainTestSplit(rng)
-}
-
-// KFoldIndices returns k stratified folds as row-index slices. k is
-// clamped to [2, Rows].
-func (d *Dataset) KFoldIndices(k int, rng *rand.Rand) [][]int {
-	return d.View().KFoldIndices(k, rng)
-}
-
-// KFold returns k stratified (train, validation) views for
-// cross-validation. Folds are index permutations over the dataset's
-// frame — no feature matrix is copied.
-func (d *Dataset) KFold(k int, rng *rand.Rand) (trains, vals []View) {
-	return d.View().KFold(k, rng)
-}
-
-// Meta computes the dataset's meta-features.
-func (d *Dataset) Meta() MetaFeatures { return d.View().Meta() }
 
 func shuffleInts(s []int, rng *rand.Rand) {
 	rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })

@@ -9,21 +9,29 @@ import (
 
 func testRNG(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, 0x7ab)) }
 
+// labeled builds a labeled frame from row-major fixture rows.
+func labeled(name string, x [][]float64, y []int, classes int) *Frame {
+	f := FromRows(x).Frame()
+	f.Name, f.Y, f.Classes = name, y, classes
+	return f
+}
+
 // blob builds a small dataset with `perClass` rows of each of `classes`
 // classes.
-func blob(classes, perClass, features int) *Dataset {
-	ds := &Dataset{Name: "blob", Classes: classes}
+func blob(classes, perClass, features int) *Frame {
+	var x [][]float64
+	var y []int
 	for c := 0; c < classes; c++ {
 		for i := 0; i < perClass; i++ {
 			row := make([]float64, features)
 			for j := range row {
 				row[j] = float64(c) + 0.1*float64(i)
 			}
-			ds.X = append(ds.X, row)
-			ds.Y = append(ds.Y, c)
+			x = append(x, row)
+			y = append(y, c)
 		}
 	}
-	return ds
+	return labeled("blob", x, y, classes)
 }
 
 func TestValidate(t *testing.T) {
@@ -33,15 +41,15 @@ func TestValidate(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		mutate func(*Dataset)
+		mutate func(*Frame)
 		want   string
 	}{
-		{"no rows", func(d *Dataset) { d.X = nil; d.Y = nil }, "no rows"},
-		{"label mismatch", func(d *Dataset) { d.Y = d.Y[:3] }, "labels"},
-		{"one class", func(d *Dataset) { d.Classes = 1 }, "classes"},
-		{"ragged row", func(d *Dataset) { d.X[2] = []float64{1} }, "features"},
-		{"bad label", func(d *Dataset) { d.Y[0] = 99 }, "outside"},
-		{"kinds mismatch", func(d *Dataset) { d.Kinds = []FeatureKind{Numeric} }, "kinds"},
+		{"no rows", func(f *Frame) { f.Cols[0], f.Cols[1], f.Y = nil, nil, nil }, "no rows"},
+		{"label mismatch", func(f *Frame) { f.Y = f.Y[:3] }, "labels"},
+		{"one class", func(f *Frame) { f.Classes = 1 }, "classes"},
+		{"ragged row", func(f *Frame) { f.Cols[1] = f.Cols[1][:2] }, "column 1 has 2 rows"},
+		{"bad label", func(f *Frame) { f.Y[0] = 99 }, "outside"},
+		{"kinds mismatch", func(f *Frame) { f.Kinds = []FeatureKind{Numeric} }, "kinds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,18 +85,18 @@ func TestAccessors(t *testing.T) {
 	if counts[0] != 3 || counts[1] != 3 {
 		t.Errorf("class counts %v", counts)
 	}
-	col := d.View().Col(1)
-	if len(col) != 6 || col[0] != d.X[0][1] {
+	col := d.All().Col(1)
+	if len(col) != 6 || col[4] != d.All().At(4, 1) {
 		t.Error("column extraction broken")
 	}
-	if (&Dataset{}).Features() != 0 {
+	if (&Frame{}).Features() != 0 {
 		t.Error("empty dataset features != 0")
 	}
 }
 
 func TestStratifiedSplit(t *testing.T) {
 	d := blob(3, 30, 2)
-	first, second := d.View().StratifiedSplit(0.4, testRNG(1))
+	first, second := d.All().StratifiedSplit(0.4, testRNG(1))
 	if first.Rows()+second.Rows() != d.Rows() {
 		t.Fatalf("split lost rows: %d + %d != %d", first.Rows(), second.Rows(), d.Rows())
 	}
@@ -99,7 +107,7 @@ func TestStratifiedSplit(t *testing.T) {
 	}
 	// Each class must be present on both sides even at extreme
 	// fractions.
-	tiny, rest := d.View().StratifiedSplit(0.001, testRNG(2))
+	tiny, rest := d.All().StratifiedSplit(0.001, testRNG(2))
 	for c, n := range tiny.ClassCounts() {
 		if n == 0 {
 			t.Errorf("class %d missing from tiny side", c)
@@ -111,7 +119,7 @@ func TestStratifiedSplit(t *testing.T) {
 		}
 	}
 	// Fractions clamp.
-	a, b := d.View().StratifiedSplit(-1, testRNG(3))
+	a, b := d.All().StratifiedSplit(-1, testRNG(3))
 	if a.Rows() != 3 || b.Rows() != d.Rows()-3 {
 		// One per class stays on the first side.
 		t.Errorf("clamped split sizes: %d/%d", a.Rows(), b.Rows())
@@ -120,7 +128,7 @@ func TestStratifiedSplit(t *testing.T) {
 
 func TestTrainTestSplitIs66_34(t *testing.T) {
 	d := blob(2, 100, 3)
-	train, test := d.TrainTestSplit(testRNG(4))
+	train, test := d.All().TrainTestSplit(testRNG(4))
 	if train.Rows() != 132 || test.Rows() != 68 {
 		t.Errorf("66/34 split sizes: %d/%d", train.Rows(), test.Rows())
 	}
@@ -128,11 +136,11 @@ func TestTrainTestSplitIs66_34(t *testing.T) {
 
 func TestSubsample(t *testing.T) {
 	d := blob(2, 100, 2)
-	s := d.View().Subsample(40, testRNG(5))
+	s := d.All().Subsample(40, testRNG(5))
 	if math.Abs(float64(s.Rows())-40) > 2 {
 		t.Errorf("subsample size %d, want ~40", s.Rows())
 	}
-	if got := d.View().Subsample(1000, testRNG(6)); got.Rows() != d.Rows() || !got.Contiguous() {
+	if got := d.All().Subsample(1000, testRNG(6)); got.Rows() != d.Rows() || !got.Contiguous() {
 		t.Error("oversized subsample should return the identity view unchanged")
 	}
 	counts := s.ClassCounts()
@@ -143,18 +151,18 @@ func TestSubsample(t *testing.T) {
 
 func TestSubsamplePerClass(t *testing.T) {
 	d := blob(3, 50, 2)
-	s := d.View().SubsamplePerClass(7, testRNG(7))
+	s := d.All().SubsamplePerClass(7, testRNG(7))
 	for c, n := range s.ClassCounts() {
 		if n != 7 {
 			t.Errorf("class %d has %d rows, want 7", c, n)
 		}
 	}
 	// Requesting more than available caps at the class size.
-	s2 := d.View().SubsamplePerClass(500, testRNG(8))
+	s2 := d.All().SubsamplePerClass(500, testRNG(8))
 	if s2.Rows() != d.Rows() {
 		t.Errorf("oversized per-class sample has %d rows, want %d", s2.Rows(), d.Rows())
 	}
-	s3 := d.View().SubsamplePerClass(0, testRNG(9))
+	s3 := d.All().SubsamplePerClass(0, testRNG(9))
 	if s3.Rows() != 3 {
 		t.Errorf("zero per-class clamps to 1: got %d rows", s3.Rows())
 	}
@@ -162,7 +170,7 @@ func TestSubsamplePerClass(t *testing.T) {
 
 func TestKFoldPartition(t *testing.T) {
 	d := blob(3, 20, 2)
-	trains, vals := d.KFold(5, testRNG(10))
+	trains, vals := d.All().KFold(5, testRNG(10))
 	if len(trains) != 5 || len(vals) != 5 {
 		t.Fatalf("fold counts %d/%d", len(trains), len(vals))
 	}
@@ -186,7 +194,7 @@ func TestKFoldPartition(t *testing.T) {
 
 func TestKFoldIndicesCoverEachRowOnce(t *testing.T) {
 	d := blob(2, 17, 2) // odd sizes exercise remainder handling
-	folds := d.KFoldIndices(4, testRNG(11))
+	folds := d.All().KFoldIndices(4, testRNG(11))
 	seen := make(map[int]int)
 	for _, fold := range folds {
 		for _, idx := range fold {
@@ -202,7 +210,7 @@ func TestKFoldIndicesCoverEachRowOnce(t *testing.T) {
 		}
 	}
 	// Clamping.
-	if got := d.KFoldIndices(1, testRNG(12)); len(got) != 2 {
+	if got := d.All().KFoldIndices(1, testRNG(12)); len(got) != 2 {
 		t.Errorf("k clamps to 2, got %d folds", len(got))
 	}
 }
@@ -218,7 +226,7 @@ var foldSink []View
 func TestKFoldAllocsNotPerRow(t *testing.T) {
 	count := func(perClass int) float64 {
 		d := blob(2, perClass, 4)
-		v := d.View() // warm the adapter's cached frame outside the measurement
+		v := d.All()
 		rng := testRNG(42)
 		return testing.AllocsPerRun(20, func() {
 			trains, vals := v.KFold(5, rng)
@@ -236,7 +244,7 @@ func TestKFoldAllocsNotPerRow(t *testing.T) {
 
 func TestBootstrapSampling(t *testing.T) {
 	d := blob(2, 25, 2)
-	b := d.View().Bootstrap(testRNG(13))
+	b := d.All().Bootstrap(testRNG(13))
 	if b.Rows() != d.Rows() {
 		t.Errorf("bootstrap has %d rows, want %d", b.Rows(), d.Rows())
 	}
@@ -244,21 +252,21 @@ func TestBootstrapSampling(t *testing.T) {
 
 func TestSelectSharesRows(t *testing.T) {
 	d := blob(2, 5, 2)
-	s := d.View().Select([]int{0, 1})
-	d.Frame().Cols[0][0] = 12345
+	s := d.All().Select([]int{0, 1})
+	d.Cols[0][0] = 12345
 	if s.At(0, 0) != 12345 {
 		t.Error("Select should share column storage with the frame")
 	}
-	c := d.CloneDeep()
-	c.X[1][0] = -999
-	if d.X[1][0] == -999 {
-		t.Error("CloneDeep should copy row storage")
+	m := d.All().Materialize()
+	m.Cols[0][1] = -999
+	if d.Cols[0][1] == -999 {
+		t.Error("Materialize should copy column storage")
 	}
 }
 
 func TestMetaFeatures(t *testing.T) {
 	d := blob(4, 25, 3)
-	m := d.Meta()
+	m := d.All().Meta()
 	if m.LogRows <= 0 || m.LogFeatures <= 0 || m.LogClasses <= 0 {
 		t.Errorf("log features non-positive: %+v", m)
 	}
@@ -271,10 +279,8 @@ func TestMetaFeatures(t *testing.T) {
 	if m.CategoricalFrac != 0 {
 		t.Errorf("categorical fraction %v, want 0", m.CategoricalFrac)
 	}
-	// The frame conversion caches Kinds, so mutate a fresh adapter.
-	d2 := blob(4, 25, 3)
-	d2.Kinds = []FeatureKind{Categorical, Categorical, Numeric}
-	if got := d2.Meta().CategoricalFrac; math.Abs(got-2.0/3) > 1e-9 {
+	d.Kinds = []FeatureKind{Categorical, Categorical, Numeric}
+	if got := d.All().Meta().CategoricalFrac; math.Abs(got-2.0/3) > 1e-9 {
 		t.Errorf("categorical fraction %v, want 2/3", got)
 	}
 	vec := m.Vector()
@@ -284,16 +290,17 @@ func TestMetaFeatures(t *testing.T) {
 }
 
 func TestMetaImbalance(t *testing.T) {
-	d := &Dataset{Name: "skew", Classes: 2}
+	var x [][]float64
+	var y []int
 	for i := 0; i < 90; i++ {
-		d.X = append(d.X, []float64{float64(i)})
-		d.Y = append(d.Y, 0)
+		x = append(x, []float64{float64(i)})
+		y = append(y, 0)
 	}
 	for i := 0; i < 10; i++ {
-		d.X = append(d.X, []float64{float64(i)})
-		d.Y = append(d.Y, 1)
+		x = append(x, []float64{float64(i)})
+		y = append(y, 1)
 	}
-	m := d.Meta()
+	m := labeled("skew", x, y, 2).All().Meta()
 	if m.ClassEntropy >= 1 {
 		t.Errorf("imbalanced entropy %v, want < 1", m.ClassEntropy)
 	}
