@@ -61,7 +61,10 @@ var fig3Cache *bench.Fig3Result
 
 func fig3Result(tb testing.TB) *bench.Fig3Result {
 	if fig3Cache == nil {
-		r := bench.Fig3(benchConfig(tb))
+		r, err := bench.Fig3(benchConfig(tb), "")
+		if err != nil {
+			tb.Fatal(err)
+		}
 		fig3Cache = &r
 	}
 	return fig3Cache

@@ -532,7 +532,7 @@ func run(ids []string, cfg bench.Config, meta metaopt.Options, csvPath, jsonPath
 	needFig3 := func() *bench.Fig3Result {
 		if fig3 == nil && fig3Err == nil {
 			fmt.Fprintln(os.Stderr, "greenbench: running the fig3 grid (feeds fig4, fig7, table4, table6, table7)...")
-			r, err := bench.Fig3Resumable(cfg, journal)
+			r, err := bench.Fig3(cfg, journal)
 			if err != nil {
 				fig3Err = err
 				fig3 = &bench.Fig3Result{}

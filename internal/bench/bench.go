@@ -286,26 +286,32 @@ func DefaultSystems() []automl.System {
 // returns the records. Budgets below a system's minimum are skipped, as in
 // the paper (ASKL starts at 30s, TPOT at 1m, TabPFN runs once per
 // budget regardless).
+//
+// RunGrid panics if the grid cannot complete. Without a journal only
+// the evaluation repository (cfg.Repo) can fail it — by refusing a
+// damaged cell or failing a write-back — and a short grid would
+// silently skew every figure built from it. RunShard returns the error
+// instead.
 func RunGrid(systems []automl.System, cfg Config) []Record {
-	records, _, _ := runGrid(systems, cfg, nil)
+	records, _, err := runGrid(systems, cfg, nil)
+	if err != nil {
+		panic(err)
+	}
 	return records
 }
 
 // runGrid executes the grid: it enumerates every cell (hoisting dataset
 // generation, train/test splits, journal lookups and repository
-// consultation out of the execution path), then runs the cells serially
-// or on a bounded worker pool depending on cfg.Workers. Cells are
-// independent — their RNG streams derive from cell identity, not shared
-// state — so a resumed run (or a parallel one) replays the remaining
-// cells exactly as an uninterrupted serial run would, and the returned
-// records are byte-identical at every worker count.
+// consultation out of the execution path), then runs the cells on a
+// bounded pool of cfg.Workers workers. Cells are independent — their RNG
+// streams derive from cell identity, not shared state — so a resumed or
+// sharded run replays the remaining cells exactly as an uninterrupted
+// one would, and the returned records are byte-identical at every
+// worker count.
 func runGrid(systems []automl.System, cfg Config, journal *Journal) ([]Record, RepoStats, error) {
 	cfg = cfg.normalized()
 	inj := faults.New(cfg.Faults)
-	fingerprint := ""
-	if cfg.Repo != nil || cfg.Shard.Enabled() {
-		fingerprint = Fingerprint(systems, cfg)
-	}
+	fingerprint := Fingerprint(systems, cfg)
 	cells, stats, err := enumerateGrid(systems, cfg, inj, journal, fingerprint)
 	if err != nil {
 		return nil, stats, err
@@ -316,13 +322,7 @@ func runGrid(systems []automl.System, cfg Config, journal *Journal) ([]Record, R
 	// wall-clock time, never a record.
 	prev := ml.SetParallelism(cellParallelism(cfg, cells))
 	defer ml.SetParallelism(prev)
-	var records []Record
-	var stored int
-	if cfg.Workers == 1 {
-		records, stored, err = runGridSerial(cells, cfg, inj, journal, fingerprint)
-	} else {
-		records, stored, err = runGridParallel(cells, cfg, inj, journal, fingerprint)
-	}
+	records, stored, err := runCells(cells, cfg, inj, journal, fingerprint)
 	stats.Stored = stored
 	return records, stats, err
 }
@@ -379,16 +379,7 @@ func ResetFitProbe() { fitProbe.Store(0) }
 // grid.
 func safeFit(sys automl.System, train tabular.View, opts automl.Options) (res *automl.Result, err error) {
 	fitProbe.Add(1)
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			if fe, ok := r.(*faults.Error); ok {
-				err = fe
-				return
-			}
-			err = &faults.Error{Kind: faults.FitPanic, Site: "fit/" + sys.Name(), Err: fmt.Errorf("panic: %v", r)}
-		}
-	}()
+	defer recoverFault(&err, faults.FitPanic, "fit/"+sys.Name())
 	return sys.Fit(train, opts)
 }
 
@@ -397,17 +388,24 @@ func safeFit(sys automl.System, train tabular.View, opts automl.Options) (res *a
 // and their cost come back alongside so the caller can both derive
 // labels (metrics.ArgmaxRows) and persist the prediction slab.
 func safePredictProba(res *automl.Result, x tabular.View, meter *energy.Meter) (proba [][]float64, cost ml.Cost, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			proba = nil
-			if fe, ok := r.(*faults.Error); ok {
-				err = fe
-				return
-			}
-			err = &faults.Error{Kind: faults.PredictError, Site: "predict/" + res.System, Err: fmt.Errorf("panic: %v", r)}
-		}
-	}()
+	defer recoverFault(&err, faults.PredictError, "predict/"+res.System)
 	return res.PredictProbaCost(x, meter)
+}
+
+// recoverFault, deferred, converts a panic into a typed fault of the
+// given kind at site; a panic that already carries a *faults.Error
+// passes through unchanged. The panicking call never assigned the other
+// results, so they stay zero.
+func recoverFault(err *error, kind faults.Kind, site string) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if fe, ok := r.(*faults.Error); ok {
+		*err = fe
+		return
+	}
+	*err = &faults.Error{Kind: kind, Site: site, Err: fmt.Errorf("panic: %v", r)}
 }
 
 // cellPayload is what a freshly executed cell contributes to the

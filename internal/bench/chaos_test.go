@@ -135,7 +135,7 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 				name := fmt.Sprintf("workers=%d/%s/append=%d", workers, mode, at)
 				path := filepath.Join(t.TempDir(), "run.jsonl")
 
-				j, err := OpenJournal(path, fingerprint)
+				j, err := openJournal(path, fingerprint, ShardSpec{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,17 +34,10 @@ type Fig3Result struct {
 }
 
 // Fig3 runs the paper's main grid: every system × budget × dataset × seed
-// on the CPU testbed with one core.
-func Fig3(cfg Config) Fig3Result {
-	res, _ := Fig3Resumable(cfg, "")
-	return res
-}
-
-// Fig3Resumable is Fig3 with an optional JSONL run journal: with a
-// non-empty path, completed cells checkpoint as they finish and an
-// interrupted run picks up where it was killed.
-func Fig3Resumable(cfg Config, journalPath string) (Fig3Result, error) {
-	cfg = cfg.normalized()
+// on the CPU testbed with one core. With a non-empty journalPath,
+// completed cells checkpoint as they finish and an interrupted run picks
+// up where it was killed.
+func Fig3(cfg Config, journalPath string) (Fig3Result, error) {
 	run, err := RunShard(DefaultSystems(), cfg, journalPath)
 	if err != nil {
 		return Fig3Result{}, err
@@ -56,7 +49,7 @@ func Fig3Resumable(cfg Config, journalPath string) (Fig3Result, error) {
 }
 
 // Fig3FromRecords aggregates already-obtained grid records — merged
-// shard journals, a replayed export — exactly as Fig3Resumable would
+// shard journals, a replayed export — exactly as Fig3 would
 // aggregate a live run: same bootstrap RNG stream, same stats, and
 // therefore byte-identical rendered reports and SVG exports.
 func Fig3FromRecords(cfg Config, records []Record) Fig3Result {

@@ -99,19 +99,13 @@ func Fingerprint(systems []automl.System, cfg Config) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// OpenJournal opens (or creates) the run journal at path. An existing
-// journal must carry the same fingerprint — resuming against a different
-// grid configuration is an error, not a silent merge. Damaged
-// checkpoint lines are reported to stderr (their cells simply rerun).
-func OpenJournal(path, fingerprint string) (*Journal, error) {
-	return openJournal(path, fingerprint, ShardSpec{})
-}
-
 // openJournal opens (or creates) a journal bound to a grid fingerprint
 // and a shard assignment. Both must match an existing journal exactly:
 // the fingerprint guards against resuming a different grid, the shard
 // spec against resuming a shard journal under a different assignment
 // (whose cell set would silently diverge from the file's contents).
+// Damaged checkpoint lines are reported to stderr (their cells simply
+// rerun).
 func openJournal(path, fingerprint string, shard ShardSpec) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -213,8 +207,11 @@ func (j *Journal) Len() int {
 }
 
 // Discarded reports how many damaged checkpoint lines replay skipped.
-// The affected cells rerun.
+// The affected cells rerun. A nil journal has discarded none.
 func (j *Journal) Discarded() int {
+	if j == nil {
+		return 0
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.discarded
@@ -265,16 +262,8 @@ func (j *Journal) Close() error { return j.f.Close() }
 // cells are loaded from the journal instead of rerun, and each newly
 // completed cell is checkpointed immediately. A killed run resumed with
 // the same path and configuration produces the same records as an
-// uninterrupted one. An empty path degrades to plain RunGrid.
+// uninterrupted one. It returns RunShard's records.
 func RunGridResumable(systems []automl.System, cfg Config, path string) ([]Record, error) {
-	if path == "" {
-		return RunGrid(systems, cfg), nil
-	}
-	j, err := OpenJournal(path, Fingerprint(systems, cfg))
-	if err != nil {
-		return nil, err
-	}
-	defer j.Close()
-	records, _, err := runGrid(systems, cfg, j)
-	return records, err
+	run, err := RunShard(systems, cfg, path)
+	return run.Records, err
 }

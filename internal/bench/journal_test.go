@@ -137,7 +137,7 @@ func TestJournalRefusesV1(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, err := OpenJournal(path, fingerprint)
+	j, err := openJournal(path, fingerprint, ShardSpec{})
 	if err == nil {
 		j.Close()
 		t.Fatal("a version-1 journal opened")
@@ -184,7 +184,7 @@ func TestJournalV2SkipsDamagedLine(t *testing.T) {
 	}
 
 	fingerprint := Fingerprint(chaosSystems(), cfg)
-	j, err := OpenJournal(path, fingerprint)
+	j, err := openJournal(path, fingerprint, ShardSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,6 +220,34 @@ func TestRepoDamagePolicy(t *testing.T) {
 	}
 }
 
+// TestRepoRunGridSurfacesDamage pins that RunGrid never returns a short
+// grid: when the repository refuses a damaged cell, RunGrid panics with
+// the repository's error, at one worker and at two, instead of silently
+// returning fewer records.
+func TestRepoRunGridSurfacesDamage(t *testing.T) {
+	rp := openTestRepo(t, repo.Options{})
+	cfg := tinyConfig()
+	cfg.Repo = rp
+	systems := repoLineup()
+	if cold := RunGrid(systems, cfg); len(cold) == 0 {
+		t.Fatal("empty grid")
+	}
+	corruptOneCell(t, rp.Dir())
+
+	for _, workers := range []int{1, 2} {
+		func() {
+			defer func() {
+				r := recover()
+				if err, _ := r.(error); !errors.Is(err, repo.ErrDamaged) {
+					t.Errorf("workers=%d: RunGrid over a damaged store panicked with %v, want repo.ErrDamaged", workers, r)
+				}
+			}()
+			records := RunGrid(systems, withWorkers(cfg, workers))
+			t.Errorf("workers=%d: RunGrid over a damaged store returned %d record(s) and no error", workers, len(records))
+		}()
+	}
+}
+
 // TestRepoMergeFusesMissingShard loses one shard's journal entirely and
 // lets MergeJournalsRepo fill the hole from the repository: the merge
 // reports repository hits instead of missing cells, and its records

@@ -13,19 +13,92 @@ import (
 	"repro/internal/vclock"
 )
 
-// gridCell is one enumerated (system × dataset × budget × seed) cell of
-// the benchmark grid, carrying everything a worker needs to execute it:
-// the shared, read-only train/test split (materialized once per
-// (dataset, seed) during enumeration), the cell's identity-derived seed,
-// and — when resuming — the journaled record that makes execution
-// unnecessary.
-type gridCell struct {
-	sys      automl.System
+// gridPos is one cell's place in the benchmark grid: the dataset and
+// seed indices that key its shared dataset and split, and the identity
+// (system × dataset × budget × cell seed) its records are keyed by.
+type gridPos struct {
+	di, seed int
 	spec     openml.Spec
+	sys      automl.System
 	budget   time.Duration
 	cellSeed uint64
-	train    tabular.View
-	test     tabular.View
+}
+
+// gridCellSeed derives a cell's seed from its dataset and seed indices
+// — from cell identity, never from execution order, which is what lets
+// cells run in any order, on any number of workers, and on any shard.
+func gridCellSeed(di, seed int) uint64 { return uint64(seed)*1009 + uint64(di) }
+
+// walkGrid visits every cell of the grid in canonical order — dataset
+// outermost, then seed, system and budget — skipping budgets below a
+// system's minimum (ASKL starts at 30s, TPOT at 1m). It is the one
+// definition of which cells exist and in what order: enumerateGrid and
+// EnumerateCellRefs both follow it. A visit error stops the walk and is
+// returned.
+func walkGrid(systems []automl.System, cfg Config, visit func(gridPos) error) error {
+	for di, spec := range cfg.Datasets {
+		for seed := 0; seed < cfg.Seeds; seed++ {
+			cellSeed := gridCellSeed(di, seed)
+			for _, sys := range systems {
+				for _, budget := range cfg.Budgets {
+					if budget < sys.MinBudget() {
+						continue
+					}
+					if err := visit(gridPos{di: di, seed: seed, spec: spec, sys: sys, budget: budget, cellSeed: cellSeed}); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// gridSplits is the grid's lazy split source: it generates each dataset
+// on first use (with generateDataset's retries and fault draws) and
+// derives each (dataset, seed) train/test split once, from an RNG
+// stream keyed by identity. Walks are dataset-major, so it holds one
+// dataset and one split at a time; a dataset no caller asks for is
+// never generated, and since the injector's dataset-fault draws are
+// site-keyed, skipping one cannot perturb any other decision.
+type gridSplits struct {
+	cfg         Config
+	inj         *faults.Injector
+	di, seed    int // the cached dataset and split; -1 when none
+	ds          *tabular.Frame
+	dsErr       error
+	train, test tabular.View
+}
+
+func newGridSplits(cfg Config, inj *faults.Injector) *gridSplits {
+	return &gridSplits{cfg: cfg, inj: inj, di: -1, seed: -1}
+}
+
+// split returns dataset di's train/test split for seed index seed, or
+// the error that kept the dataset from materializing.
+func (g *gridSplits) split(di, seed int) (train, test tabular.View, err error) {
+	if di != g.di {
+		g.di, g.seed = di, -1
+		g.ds, g.dsErr = generateDataset(g.cfg.Datasets[di], g.cfg, g.inj)
+	}
+	if g.dsErr != nil {
+		return tabular.View{}, tabular.View{}, g.dsErr
+	}
+	if seed != g.seed {
+		g.seed = seed
+		g.train, g.test = g.ds.All().TrainTestSplit(rand.New(rand.NewPCG(g.cfg.Seed+uint64(seed)*101, uint64(di))))
+	}
+	return g.train, g.test, nil
+}
+
+// gridCell is one enumerated cell of the benchmark grid, carrying
+// everything a worker needs to execute it: the shared, read-only
+// train/test split, and — when resuming — the completed record that
+// makes execution unnecessary.
+type gridCell struct {
+	gridPos
+	train tabular.View
+	test  tabular.View
 	// dsErr records a dataset that never materialized; every dependent
 	// cell yields a failure record instead of silently shrinking the
 	// grid.
@@ -41,101 +114,62 @@ type gridCell struct {
 	id string
 }
 
-// enumerateGrid walks the grid in its canonical order and materializes
-// every immutable per-cell input up front: dataset generation and
-// train/test splits happen here, once per dataset and per (dataset,
-// seed), so workers share them read-only and never recompute state that
-// does not depend on the cell's own execution. Every RNG stream involved
-// derives from cell identity (dataset index, seed index, base seed) —
-// never from execution order — which is what lets the cells run in any
-// order, on any number of workers, and still reproduce the serial grid
-// exactly.
+// enumerateGrid walks the grid and materializes every immutable
+// per-cell input up front, so workers share datasets and splits
+// read-only and never recompute state that does not depend on the
+// cell's own execution.
 //
 // With cfg.Shard set, only the cells the shard owns are enumerated.
 // Ownership is a pure function of (grid fingerprint, cell identity), and
-// dataset generation and splits are keyed by identity too, so the cells
-// a shard materializes are bit-identical to the same cells of an
-// unsharded enumeration. Datasets and splits are generated lazily — a
-// shard that owns no cell of a dataset never pays for (or rolls fault
-// decisions about) generating it; the injector's dataset-fault draws
-// are site-keyed, so skipping them cannot perturb any other decision.
+// datasets and splits are keyed by identity too, so the cells a shard
+// materializes are bit-identical to the same cells of an unsharded
+// enumeration, and a shard that owns no cell of a dataset never
+// generates it.
 //
 // With cfg.Repo set, every cell the journal does not already cover
 // consults the repository: a verified entry replays its record exactly
 // as a journal checkpoint would (the cell never executes), a miss runs
 // live, and damage follows the repository's policy — counted under
 // AllowDamage, otherwise aborting enumeration. The returned RepoStats
-// reports that traffic (Stored is filled in later by the runners).
+// reports that traffic (Stored is filled in later by runCells).
 func enumerateGrid(systems []automl.System, cfg Config, inj *faults.Injector, journal *Journal, fingerprint string) ([]gridCell, RepoStats, error) {
 	var stats RepoStats
-	owns := func(string) bool { return true }
-	if cfg.Shard.Enabled() {
-		owns = func(id string) bool { return cfg.Shard.Owns(fingerprint, id) }
-	}
 	var cells []gridCell
-	for di, spec := range cfg.Datasets {
-		var ds *tabular.Frame
-		var dsErr error
-		generated := false
-		for seed := 0; seed < cfg.Seeds; seed++ {
-			var train, test tabular.View
-			split := false
-			cellSeed := uint64(seed)*1009 + uint64(di)
-			for _, sys := range systems {
-				for _, budget := range cfg.Budgets {
-					if budget < sys.MinBudget() {
-						continue
-					}
-					id := cellID(sys.Name(), spec.Name, budget, cellSeed)
-					if !owns(id) {
-						continue
-					}
-					if !generated {
-						ds, dsErr = generateDataset(spec, cfg, inj)
-						generated = true
-					}
-					if !split && dsErr == nil {
-						splitRng := rand.New(rand.NewPCG(cfg.Seed+uint64(seed)*101, uint64(di)))
-						train, test = ds.All().TrainTestSplit(splitRng)
-						split = true
-					}
-					cell := gridCell{
-						sys:      sys,
-						spec:     spec,
-						budget:   budget,
-						cellSeed: cellSeed,
-						train:    train,
-						test:     test,
-						dsErr:    dsErr,
-						id:       id,
-					}
-					if journal != nil {
-						if rec, ok := journal.Lookup(id); ok {
-							rec := rec
-							cell.cached = &rec
-						}
-					}
-					if cell.cached == nil && cfg.Repo != nil {
-						rec, hit, damaged, err := repoLookup(cfg.Repo, fingerprint, id)
-						if err != nil {
-							return nil, stats, err
-						}
-						switch {
-						case damaged:
-							stats.Damaged++
-							stats.Misses++
-						case hit:
-							stats.Hits++
-							cell.cached = &rec
-							cell.fromRepo = true
-						default:
-							stats.Misses++
-						}
-					}
-					cells = append(cells, cell)
-				}
+	splits := newGridSplits(cfg, inj)
+	err := walkGrid(systems, cfg, func(p gridPos) error {
+		id := cellID(p.sys.Name(), p.spec.Name, p.budget, p.cellSeed)
+		if !cfg.Shard.Owns(fingerprint, id) {
+			return nil
+		}
+		cell := gridCell{gridPos: p, id: id}
+		cell.train, cell.test, cell.dsErr = splits.split(p.di, p.seed)
+		if journal != nil {
+			if rec, ok := journal.Lookup(id); ok {
+				cell.cached = &rec
 			}
 		}
+		if cell.cached == nil && cfg.Repo != nil {
+			rec, hit, damaged, err := repoLookup(cfg.Repo, fingerprint, id)
+			if err != nil {
+				return err
+			}
+			switch {
+			case damaged:
+				stats.Damaged++
+				stats.Misses++
+			case hit:
+				stats.Hits++
+				cell.cached = &rec
+				cell.fromRepo = true
+			default:
+				stats.Misses++
+			}
+		}
+		cells = append(cells, cell)
+		return nil
+	})
+	if err != nil {
+		return nil, stats, err
 	}
 	return cells, stats, nil
 }
@@ -210,120 +244,85 @@ func fitWithWatchdog(sys automl.System, train tabular.View, opts automl.Options,
 	}
 }
 
-// runCellTask executes one enumerated cell and returns its record plus
-// the repository payload (nil when the cell produced no predictions).
-func runCellTask(c gridCell, cfg Config, inj *faults.Injector) (Record, *cellPayload) {
-	if c.dsErr != nil {
-		return Record{
-			System: c.sys.Name(), Dataset: c.spec.Name,
-			Budget: c.budget, Seed: c.cellSeed,
-			Failure: faults.KindOf(c.dsErr, faults.DatasetError), Attempts: cfg.Retry.MaxAttempts,
-		}, nil
-	}
-	return runCell(c.sys, c.train, c.test, c.budget, cfg, c.cellSeed, inj)
-}
-
-// runGridSerial executes the cells one by one in grid order — the
-// historical execution mode, kept as the Workers == 1 path. A journal
-// failure returns the records completed so far alongside the error.
-// Repository hits replay without executing but still checkpoint to the
-// journal (a shard journal must cover every owned cell for merges);
-// journal hits never re-append and never consult the repository.
-func runGridSerial(cells []gridCell, cfg Config, inj *faults.Injector, journal *Journal, fingerprint string) ([]Record, int, error) {
-	stored := 0
-	records := make([]Record, 0, len(cells))
-	for _, c := range cells {
+// runCells executes the cells on a bounded pool of cfg.Workers workers
+// (at most one per cell). Each cell is independent — its RNG streams
+// derive from cell identity, its meters are private, the shared datasets
+// are read-only and the fault injector is pure — so workers need no
+// coordination beyond the journal mutex. Results land in a slice indexed
+// by enumeration order, which makes the returned records (and therefore
+// every export and figure) byte-identical at any worker count; a pool of
+// one executes the cells in grid order. Only the journal's on-disk line
+// order varies, and resume replays it by cell identity, not position.
+//
+// Cached cells replay without executing. Journal hits never re-append;
+// repository hits still checkpoint to the journal, so a shard journal
+// covers every owned cell for merges. The first journal or repository
+// failure stops dispatch, lets the workers drain, and is returned with
+// no records.
+func runCells(cells []gridCell, cfg Config, inj *faults.Injector, journal *Journal, fingerprint string) ([]Record, int, error) {
+	records := make([]Record, len(cells))
+	var stored atomic.Int64
+	run := func(ci int) error {
+		c := cells[ci]
 		if c.cached != nil {
+			records[ci] = *c.cached
 			if c.fromRepo && journal != nil {
-				if err := journal.Append(*c.cached); err != nil {
-					return records, stored, err
-				}
+				return journal.Append(*c.cached)
 			}
-			records = append(records, *c.cached)
-			continue
+			return nil
 		}
-		rec, payload := runCellTask(c, cfg, inj)
+		var rec Record
+		var payload *cellPayload
+		if c.dsErr != nil {
+			rec = Record{
+				System: c.sys.Name(), Dataset: c.spec.Name,
+				Budget: c.budget, Seed: c.cellSeed,
+				Failure: faults.KindOf(c.dsErr, faults.DatasetError), Attempts: cfg.Retry.MaxAttempts,
+			}
+		} else {
+			rec, payload = runCell(c.sys, c.train, c.test, c.budget, cfg, c.cellSeed, inj)
+		}
 		if journal != nil {
 			if err := journal.Append(rec); err != nil {
-				return records, stored, err
+				return err
 			}
 		}
 		ok, err := storeCell(cfg.Repo, fingerprint, c.id, rec, payload)
 		if err != nil {
-			return records, stored, err
+			return err
 		}
 		if ok {
-			stored++
+			stored.Add(1)
 		}
-		records = append(records, rec)
+		records[ci] = rec
+		return nil
 	}
-	return records, stored, nil
-}
 
-// runGridParallel executes the cells on a bounded worker pool. Each cell
-// is independent — its RNG streams derive from cell identity, its meters
-// are private, the shared datasets are read-only and the fault injector
-// is pure — so workers need no coordination beyond the journal mutex.
-// Results land in a slice indexed by enumeration order, which makes the
-// returned records (and therefore every export and figure) byte-identical
-// to a serial run at any worker count; only the journal's on-disk line
-// order varies, and resume replays it by cell identity, not position.
-func runGridParallel(cells []gridCell, cfg Config, inj *faults.Injector, journal *Journal, fingerprint string) ([]Record, int, error) {
-	records := make([]Record, len(cells))
-	work := make(chan int)
 	var (
 		wg       sync.WaitGroup
 		failed   atomic.Bool
 		errOnce  sync.Once
 		firstErr error
-		stored   atomic.Int64
 	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		failed.Store(true)
-	}
-
-	workers := cfg.Workers
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	for w := 0; w < workers; w++ {
+	work := make(chan int)
+	for w := 0; w < min(cfg.Workers, len(cells)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for ci := range work {
 				if failed.Load() {
-					continue // drain remaining work after a failure
+					continue // drain work handed out before the failure
 				}
-				rec, payload := runCellTask(cells[ci], cfg, inj)
-				if journal != nil {
-					if err := journal.Append(rec); err != nil {
-						fail(err)
-						continue
-					}
+				if err := run(ci); err != nil {
+					errOnce.Do(func() { firstErr = err })
+					failed.Store(true)
 				}
-				ok, err := storeCell(cfg.Repo, fingerprint, cells[ci].id, rec, payload)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				if ok {
-					stored.Add(1)
-				}
-				records[ci] = rec
 			}
 		}()
 	}
 	for ci := range cells {
-		if c := cells[ci]; c.cached != nil {
-			if c.fromRepo && journal != nil {
-				if err := journal.Append(*c.cached); err != nil {
-					fail(err)
-					break
-				}
-			}
-			records[ci] = *c.cached
-			continue
+		if failed.Load() {
+			break
 		}
 		work <- ci
 	}

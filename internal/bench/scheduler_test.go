@@ -227,53 +227,55 @@ func TestCellParallelismAuto(t *testing.T) {
 }
 
 // TestJournalAppendFailureDrainsWorkers kills the journal (every append
-// past the third fails, as a dying disk would) under a parallel run:
-// the run must surface the error, every worker goroutine must drain
-// rather than leak, and the checkpoints that landed before the failure
-// must still resume to the full grid.
+// past the third fails, as a dying disk would) at one worker and at
+// four: the run must surface the error, every worker goroutine must
+// drain rather than leak, and the checkpoints that landed before the
+// failure must still resume to the full grid.
 func TestJournalAppendFailureDrainsWorkers(t *testing.T) {
-	before := runtime.NumGoroutine()
 	cfg := faultCfg(0.3, 4)
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	j, err := OpenJournal(path, Fingerprint(DefaultSystems(), cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.crash = func(point string, seq int, _ *os.File, _ []byte) error {
-		if point == crashAppendStart && seq >= 3 {
-			return errors.New("injected journal device failure")
-		}
-		return nil
-	}
-	_, _, err = runGrid(DefaultSystems(), withWorkers(cfg, 4), j)
-	j.Close()
-	if err == nil || !strings.Contains(err.Error(), "journal device failure") {
-		t.Fatalf("journal failure returned %v, want the injected device error", err)
-	}
-
-	// The worker pool must have drained: give lingering goroutines a
-	// moment to unwind, then require the count to settle near where it
-	// started.
-	settled := false
-	for i := 0; i < 200 && !settled; i++ {
-		settled = runtime.NumGoroutine() <= before+2
-		if !settled {
-			//greenlint:allow wallclock test-only settle poll while goroutines unwind; nothing measured
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	if n := runtime.NumGoroutine(); !settled {
-		t.Fatalf("worker goroutines leaked after journal failure: %d before the run, %d after", before, n)
-	}
-
-	// The partial journal holds the three checkpoints that beat the
-	// failure; resuming from it must reproduce the uninterrupted grid.
-	got, err := RunGridResumable(DefaultSystems(), withWorkers(cfg, 4), path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := RunGrid(DefaultSystems(), cfg)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("resume from the partial journal differs from an uninterrupted run")
+	for _, workers := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		j, err := openJournal(path, Fingerprint(DefaultSystems(), cfg), ShardSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.crash = func(point string, seq int, _ *os.File, _ []byte) error {
+			if point == crashAppendStart && seq >= 3 {
+				return errors.New("injected journal device failure")
+			}
+			return nil
+		}
+		_, _, err = runGrid(DefaultSystems(), withWorkers(cfg, workers), j)
+		j.Close()
+		if err == nil || !strings.Contains(err.Error(), "journal device failure") {
+			t.Fatalf("workers=%d: journal failure returned %v, want the injected device error", workers, err)
+		}
+
+		// The worker pool must have drained: give lingering goroutines a
+		// moment to unwind, then require the count to settle near where
+		// it started.
+		settled := false
+		for i := 0; i < 200 && !settled; i++ {
+			settled = runtime.NumGoroutine() <= before+2
+			if !settled {
+				//greenlint:allow wallclock test-only settle poll while goroutines unwind; nothing measured
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+		if n := runtime.NumGoroutine(); !settled {
+			t.Fatalf("workers=%d: worker goroutines leaked after journal failure: %d before the run, %d after", workers, before, n)
+		}
+
+		// The partial journal holds the three checkpoints that beat the
+		// failure; resuming from it must reproduce the uninterrupted grid.
+		got, err := RunGridResumable(DefaultSystems(), withWorkers(cfg, workers), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: resume from the partial journal differs from an uninterrupted run", workers)
+		}
 	}
 }

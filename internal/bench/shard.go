@@ -140,32 +140,17 @@ func (c CellRef) failureRecord(kind faults.Kind) Record {
 	}
 }
 
-// EnumerateCellRefs walks the grid in the exact order enumerateGrid
-// does — dataset outermost, then seed, system, budget, with sub-minimum
-// budgets skipped — and returns every cell's identity. It is the
+// EnumerateCellRefs returns every cell's identity in canonical grid
+// order — walkGrid's order, which enumerateGrid follows too. It is the
 // enumeration half of the scheduler without the execution inputs
 // (datasets, splits), cheap enough for merge-time use.
 func EnumerateCellRefs(systems []automl.System, cfg Config) []CellRef {
 	cfg = cfg.normalized()
 	var refs []CellRef
-	for di, spec := range cfg.Datasets {
-		for seed := 0; seed < cfg.Seeds; seed++ {
-			cellSeed := uint64(seed)*1009 + uint64(di)
-			for _, sys := range systems {
-				for _, budget := range cfg.Budgets {
-					if budget < sys.MinBudget() {
-						continue
-					}
-					refs = append(refs, CellRef{
-						System:  sys.Name(),
-						Dataset: spec.Name,
-						Budget:  budget,
-						Seed:    cellSeed,
-					})
-				}
-			}
-		}
-	}
+	walkGrid(systems, cfg, func(p gridPos) error {
+		refs = append(refs, CellRef{System: p.sys.Name(), Dataset: p.spec.Name, Budget: p.budget, Seed: p.cellSeed})
+		return nil
+	})
 	return refs
 }
 
@@ -188,38 +173,29 @@ type ShardRun struct {
 // bound to both the grid fingerprint and the shard spec, so a shard
 // journal can never be resumed against a different grid or a different
 // shard assignment. With cfg.Shard zero this is a whole-grid journaled
-// run; with path empty it degrades to plain RunGrid.
+// run; with path empty no journal is kept.
 func RunShard(systems []automl.System, cfg Config, path string) (ShardRun, error) {
-	if err := validateShard(cfg); err != nil {
-		return ShardRun{}, err
-	}
-	if path == "" {
-		records, stats, err := runGrid(systems, cfg, nil)
-		if err != nil {
+	if cfg.Shard != (ShardSpec{}) {
+		if err := cfg.Shard.Validate(); err != nil {
 			return ShardRun{}, err
 		}
-		return ShardRun{Records: records, Repo: stats}, nil
 	}
-	j, err := openJournal(path, Fingerprint(systems, cfg), cfg.Shard)
-	if err != nil {
-		return ShardRun{}, err
-	}
-	defer j.Close()
-	if hook := chaosKillHookFromEnv(); hook != nil {
-		j.crash = hook
+	var j *Journal
+	if path != "" {
+		var err error
+		if j, err = openJournal(path, Fingerprint(systems, cfg), cfg.Shard); err != nil {
+			return ShardRun{}, err
+		}
+		defer j.Close()
+		if hook := chaosKillHookFromEnv(); hook != nil {
+			j.crash = hook
+		}
 	}
 	records, stats, err := runGrid(systems, cfg, j)
 	if err != nil {
 		return ShardRun{}, err
 	}
 	return ShardRun{Records: records, Damaged: j.Discarded(), Repo: stats}, nil
-}
-
-func validateShard(cfg Config) error {
-	if cfg.Shard == (ShardSpec{}) {
-		return nil
-	}
-	return cfg.Shard.Validate()
 }
 
 // chaosKillEnv, when set, makes a sharded run SIGKILL its own process

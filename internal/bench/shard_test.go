@@ -269,7 +269,7 @@ func TestShardJournalBindsAssignment(t *testing.T) {
 // under the zero spec.
 func TestWholeGridJournalStaysCompatible(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	j, err := OpenJournal(path, "0123456789abcdef")
+	j, err := openJournal(path, "0123456789abcdef", ShardSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestWholeGridJournalStaysCompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	j2, err := OpenJournal(path, "0123456789abcdef")
+	j2, err := openJournal(path, "0123456789abcdef", ShardSpec{})
 	if err != nil {
 		t.Fatalf("whole-grid journal refused to reopen: %v", err)
 	}

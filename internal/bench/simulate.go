@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand/v2"
 	"strings"
 	"time"
 
@@ -77,15 +76,12 @@ func SimulateEnsembles(systems []automl.System, cfg Config, rp *repo.Repository)
 	meter := energy.NewMeter(cfg.Machine, 1)
 	res := &EnsembleSimResult{}
 
+	splits := newGridSplits(cfg, inj)
 	for di, spec := range cfg.Datasets {
-		var ds *tabular.Frame
-		var dsErr error
-		generated := false
 		for seed := 0; seed < cfg.Seeds; seed++ {
-			cellSeed := uint64(seed)*1009 + uint64(di)
+			cellSeed := gridCellSeed(di, seed)
 			var test tabular.View
 			var labels []int
-			split := false
 			for _, budget := range cfg.Budgets {
 				var probas [][][]float64
 				members := 0
@@ -106,18 +102,11 @@ func SimulateEnsembles(systems []automl.System, cfg Config, rp *repo.Repository)
 						res.Missing++
 						continue
 					}
-					if !split {
-						if !generated {
-							ds, dsErr = generateDataset(spec, cfg, inj)
-							generated = true
+					if labels == nil {
+						if _, test, err = splits.split(di, seed); err != nil {
+							return nil, fmt.Errorf("bench: regenerating %s for simulation: %w", spec.Name, err)
 						}
-						if dsErr != nil {
-							return nil, fmt.Errorf("bench: regenerating %s for simulation: %w", spec.Name, dsErr)
-						}
-						splitRng := rand.New(rand.NewPCG(cfg.Seed+uint64(seed)*101, uint64(di)))
-						_, test = ds.All().TrainTestSplit(splitRng)
 						labels = test.LabelsInto(nil)
-						split = true
 					}
 					if e.Rows != test.Rows() || e.Classes != test.Classes() {
 						return nil, fmt.Errorf("bench: repository cell %s holds %d×%d predictions, test split is %d×%d — store built from a different grid", id, e.Rows, e.Classes, test.Rows(), test.Classes())
