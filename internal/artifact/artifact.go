@@ -15,8 +15,9 @@
 //
 // Refusal taxonomy, coarsest to finest:
 //
-//   - atomicio.ErrMalformed / ErrMalformed: not an envelope, or the
-//     payload does not parse as an artifact.
+//   - atomicio.ErrMalformed / ErrMalformed: not an envelope, the
+//     payload does not parse as an artifact, or the parsed spec cannot
+//     be built (an invalid training frame, an unknown model family).
 //   - atomicio.ErrChecksum: the envelope is damaged (bit rot, truncation).
 //   - ErrVersion: a well-formed artifact from an incompatible format
 //     revision; never guessed at.
@@ -44,7 +45,8 @@ import (
 
 var (
 	// ErrMalformed marks a payload that is not an artifact: wrong inner
-	// magic or a structure that does not parse.
+	// magic, a structure that does not parse, or a spec that parses but
+	// names an invalid training frame or an unknown model family.
 	ErrMalformed = errors.New("artifact: malformed payload")
 	// ErrVersion marks an artifact written by an incompatible format
 	// revision.
@@ -128,11 +130,11 @@ func Build(spec Spec) (*Model, ml.Cost, error) {
 		return nil, zero, fmt.Errorf("artifact: spec has no training frame")
 	}
 	if err := spec.Train.Validate(); err != nil {
-		return nil, zero, fmt.Errorf("artifact: invalid training frame: %w", err)
+		return nil, zero, fmt.Errorf("artifact: invalid training frame: %w: %w", ErrMalformed, err)
 	}
 	pipe, err := spec.spaceSpec().Build(spec.Params, spec.Train.Features())
 	if err != nil {
-		return nil, zero, fmt.Errorf("artifact: building pipeline: %w", err)
+		return nil, zero, fmt.Errorf("artifact: building pipeline: %w: %w", ErrMalformed, err)
 	}
 	rng := rand.New(rand.NewPCG(spec.Seed, rngStream))
 	cost, err := pipe.Fit(spec.Train.All(), rng)

@@ -221,6 +221,34 @@ func TestLoadRefusesTamperedTrainingData(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesUnresolvableSpec pins the taxonomy for payloads that
+// parse but describe no buildable pipeline: an out-of-range label or a
+// model family the registry does not know is ErrMalformed, not an
+// unclassified refit failure.
+func TestLoadRefusesUnresolvableSpec(t *testing.T) {
+	cases := map[string]func(*Spec){
+		"label_out_of_range": func(s *Spec) { s.Train.Y[0] = 7 },
+		"no_such_family":     func(s *Spec) { s.Models = []string{"no_such_family"} },
+	}
+	for _, family := range []string{"adaboost", "qda", "hist_gradient_boosting"} {
+		cases[family] = func(s *Spec) { s.Models = []string{family} }
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			path, m := saveTestArtifact(t)
+			spec := testSpec(t)
+			mutate(&spec)
+			if err := Save(path, &Model{Spec: spec, Fingerprint: m.Fingerprint}); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := Load(path)
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("unresolvable spec: err = %v, want ErrMalformed", err)
+			}
+		})
+	}
+}
+
 func TestLoadMissingFile(t *testing.T) {
 	_, _, err := Load(filepath.Join(t.TempDir(), "absent.gart"))
 	if err == nil {

@@ -7,8 +7,8 @@ import (
 
 // RowMajor guards the columnar data layout inside the ml kernels. The
 // Frame refactor deleted every per-fit row-major materialization — the
-// kernels read View columns in place — and the treeCore/histgbt speedups
-// in BENCH_3.json exist exactly because no [][]float64 feature matrix is
+// kernels read View columns in place — and the treeCore speedups in
+// BENCH_3.json exist exactly because no [][]float64 feature matrix is
 // rebuilt per fit. A new `make([][]float64, ...)` or [][]float64
 // literal in internal/ml is how that regression returns, one
 // innocent-looking transpose at a time; tabular has no view-to-rows

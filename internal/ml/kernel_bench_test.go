@@ -70,17 +70,3 @@ func BenchmarkLinearFit(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAdaBoostFit measures the boosting-round workload: weighted
-// resampling, stump fits, and the full-data prediction scan per round.
-func BenchmarkAdaBoostFit(b *testing.B) {
-	ds := benchDataset(600, 16, 3, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := NewAdaBoost(AdaBoostParams{Rounds: 10})
-		if _, err := a.Fit(ds.All(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -36,19 +36,16 @@ func permutedView(ds *tabular.Frame, rng *rand.Rand) tabular.View {
 // family in the package.
 func equivalenceModels() map[string]Classifier {
 	return map[string]Classifier{
-		"tree":     NewTreeClassifier(TreeParams{MaxDepth: 8}),
-		"forest":   NewForestClassifier(ForestParams{Trees: 10, Bootstrap: true}),
-		"extra":    NewForestClassifier(ForestParams{Trees: 10, ExtraTrees: true}),
-		"gbt":      NewBoostingClassifier(BoostingParams{Rounds: 10}),
-		"histgbt":  NewHistBoosting(HistBoostingParams{Rounds: 10}),
-		"adaboost": NewAdaBoost(AdaBoostParams{Rounds: 10}),
-		"knn":      NewKNN(KNNParams{K: 3}),
-		"logreg":   NewLogisticRegression(LinearParams{Epochs: 15}),
-		"svm":      NewLinearSVM(LinearParams{Epochs: 15}),
-		"gnb":      NewGaussianNB(),
-		"bnb":      NewBernoulliNB(1),
-		"qda":      NewQDA(1e-3),
-		"mlp":      NewMLP(MLPParams{Hidden: []int{8}, Epochs: 10}),
+		"tree":   NewTreeClassifier(TreeParams{MaxDepth: 8}),
+		"forest": NewForestClassifier(ForestParams{Trees: 10, Bootstrap: true}),
+		"extra":  NewForestClassifier(ForestParams{Trees: 10, ExtraTrees: true}),
+		"gbt":    NewBoostingClassifier(BoostingParams{Rounds: 10}),
+		"knn":    NewKNN(KNNParams{K: 3}),
+		"logreg": NewLogisticRegression(LinearParams{Epochs: 15}),
+		"svm":    NewLinearSVM(LinearParams{Epochs: 15}),
+		"gnb":    NewGaussianNB(),
+		"bnb":    NewBernoulliNB(1),
+		"mlp":    NewMLP(MLPParams{Hidden: []int{8}, Epochs: 10}),
 	}
 }
 

@@ -86,34 +86,15 @@ type Classifier interface {
 	ParallelFrac() float64
 }
 
-// Regressor is a trainable single-output regressor (used by gradient
-// boosting and by the Bayesian-optimization surrogate).
+// Regressor is a trainable single-output regressor, implemented by
+// TreeRegressor and ForestRegressor. Gradient boosting and the
+// Bayesian-optimization surrogate hold those concrete types.
 type Regressor interface {
 	// FitReg trains on the viewed rows with targets y (indexed by view
 	// row) and reports the cost.
 	FitReg(x tabular.View, y []float64, rng *rand.Rand) (Cost, error)
 	// PredictReg returns one prediction per viewed row and the cost.
 	PredictReg(x tabular.View) ([]float64, Cost)
-}
-
-// Predict converts a classifier's probability output into hard labels.
-func Predict(c Classifier, x tabular.View) ([]int, Cost) {
-	proba, cost := c.PredictProba(x)
-	labels := make([]int, len(proba))
-	for i, row := range proba {
-		labels[i] = argmax(row)
-	}
-	return labels, cost
-}
-
-func argmax(v []float64) int {
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // softmaxInPlace transforms logits into probabilities, numerically stably.

@@ -77,7 +77,8 @@ func TestClassifiersLearnSeparableData(t *testing.T) {
 			if cost.Total() <= 0 {
 				t.Error("training reported no cost")
 			}
-			pred, predCost := Predict(clf, test.All())
+			proba, predCost := clf.PredictProba(test.All())
+			pred := metrics.ArgmaxRows(proba)
 			if predCost.Total() <= 0 {
 				t.Error("prediction reported no cost")
 			}
@@ -103,7 +104,8 @@ func TestTreeModelsSolveXOR(t *testing.T) {
 		if _, err := clf.Fit(train.All(), testRNG(6)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		pred, _ := Predict(clf, test.All())
+		proba, _ := clf.PredictProba(test.All())
+		pred := metrics.ArgmaxRows(proba)
 		if acc := metrics.Accuracy(test.Y, pred); acc < 0.85 {
 			t.Errorf("%s: accuracy %.3f on XOR, want nonlinear capacity", name, acc)
 		}
@@ -112,7 +114,8 @@ func TestTreeModelsSolveXOR(t *testing.T) {
 	// space interesting.
 	lin := NewLogisticRegression(LinearParams{Epochs: 40})
 	lin.Fit(train.All(), testRNG(7))
-	pred, _ := Predict(lin, test.All())
+	proba, _ := lin.PredictProba(test.All())
+	pred := metrics.ArgmaxRows(proba)
 	if acc := metrics.Accuracy(test.Y, pred); acc > 0.75 {
 		t.Errorf("logistic regression scored %.3f on XOR — the generator is not nonlinear", acc)
 	}
@@ -340,8 +343,9 @@ func TestBoostingImprovesWithRounds(t *testing.T) {
 	few.Fit(train.All(), testRNG(32))
 	many := NewBoostingClassifier(BoostingParams{Rounds: 40, Tree: TreeParams{MaxDepth: 2}})
 	many.Fit(train.All(), testRNG(32))
-	predFew, _ := Predict(few, test.All())
-	predMany, _ := Predict(many, test.All())
+	probaFew, _ := few.PredictProba(test.All())
+	probaMany, _ := many.PredictProba(test.All())
+	predFew, predMany := metrics.ArgmaxRows(probaFew), metrics.ArgmaxRows(probaMany)
 	if metrics.Accuracy(test.Y, predMany) <= metrics.Accuracy(test.Y, predFew) {
 		t.Errorf("boosting did not improve with rounds: %v vs %v",
 			metrics.Accuracy(test.Y, predMany), metrics.Accuracy(test.Y, predFew))
@@ -352,7 +356,8 @@ func TestKNNMemorizesWithK1(t *testing.T) {
 	train := separableBlob(60, 3, testRNG(33))
 	knn := NewKNN(KNNParams{K: 1})
 	knn.Fit(train.All(), testRNG(34))
-	pred, _ := Predict(knn, train.All())
+	proba, _ := knn.PredictProba(train.All())
+	pred := metrics.ArgmaxRows(proba)
 	if acc := metrics.Accuracy(train.Y, pred); acc != 1 {
 		t.Errorf("1-NN training accuracy %v, want 1", acc)
 	}
@@ -411,7 +416,8 @@ func TestMulticlass(t *testing.T) {
 		if _, err := clf.Fit(ds.All(), testRNG(39)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		pred, _ := Predict(clf, ds.All())
+		proba, _ := clf.PredictProba(ds.All())
+		pred := metrics.ArgmaxRows(proba)
 		if acc := metrics.BalancedAccuracy(ds.Y, pred, 4); acc < 0.9 {
 			t.Errorf("%s: 4-class balanced accuracy %.3f", name, acc)
 		}

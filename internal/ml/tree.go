@@ -82,8 +82,8 @@ type treeNode struct {
 // scores every feature, or a per-node sortKeys. The kernel is
 // bit-compatible with the original per-split sort.Slice kernel:
 // identical trees, identical RNG consumption and identical Cost, so the
-// virtual-clock energy accounting of every consumer (forests, AdaBoost,
-// gradient boosting, TPOT pipelines, the BO surrogate) is unchanged.
+// virtual-clock energy accounting of every consumer (forests, gradient
+// boosting, TPOT pipelines, the BO surrogate) is unchanged.
 type treeCore struct {
 	params  TreeParams
 	classes int // 0 for regression

@@ -40,7 +40,7 @@ func benchRegTargets(ds *tabular.Frame) []float64 {
 
 // BenchmarkTreeCoreFit measures the hot CART kernel: one deep
 // classification tree over all features, the workload underneath every
-// forest, AdaBoost and TPOT pipeline in the grid.
+// forest and TPOT pipeline in the grid.
 func BenchmarkTreeCoreFit(b *testing.B) {
 	ds := benchDataset(900, 20, 4, 1)
 	b.ReportAllocs()
@@ -155,20 +155,6 @@ func BenchmarkForestFit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := NewForestClassifier(ForestParams{Trees: 20, Bootstrap: true, Tree: TreeParams{MaxDepth: 12}})
 		if _, err := f.Fit(ds.All(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHistGBTFit measures the histogram gradient-boosting fit: the
-// quantization pass plus histogram-scan tree growth over all rounds.
-func BenchmarkHistGBTFit(b *testing.B) {
-	ds := benchDataset(600, 16, 3, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := NewHistBoosting(HistBoostingParams{Rounds: 10, MaxDepth: 3})
-		if _, err := h.Fit(ds.All(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
 			b.Fatal(err)
 		}
 	}

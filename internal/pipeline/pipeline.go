@@ -92,22 +92,6 @@ func (p *Pipeline) PredictProba(x tabular.View) ([][]float64, ml.Cost) {
 	return proba, cost
 }
 
-// Predict returns hard labels.
-func (p *Pipeline) Predict(x tabular.View) ([]int, ml.Cost) {
-	proba, cost := p.PredictProba(x)
-	labels := make([]int, len(proba))
-	for i, row := range proba {
-		best := 0
-		for j := 1; j < len(row); j++ {
-			if row[j] > row[best] {
-				best = j
-			}
-		}
-		labels[i] = best
-	}
-	return labels, cost
-}
-
 // Fitted reports whether Fit has completed successfully.
 func (p *Pipeline) Fitted() bool { return p.fitted }
 

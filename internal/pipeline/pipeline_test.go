@@ -166,7 +166,8 @@ func TestRegistryBuildsEveryFamily(t *testing.T) {
 		if _, err := p.Fit(train.All(), testRNG(7)); err != nil {
 			t.Fatalf("%s: fit: %v", family, err)
 		}
-		pred, cost := p.Predict(train.All())
+		proba, cost := p.PredictProba(train.All())
+		pred := metrics.ArgmaxRows(proba)
 		if cost.Total() <= 0 {
 			t.Errorf("%s: no prediction cost", family)
 		}
@@ -289,42 +290,6 @@ func TestSpaceDefault(t *testing.T) {
 	for _, p := range space.Params {
 		if def[p.Name] != p.Default {
 			t.Errorf("%s default %v, want %v", p.Name, def[p.Name], p.Default)
-		}
-	}
-}
-
-func TestExtendedModelsOptIn(t *testing.T) {
-	extended := ExtendedModels()
-	if len(extended) != 3 {
-		t.Fatalf("extended families %v, want adaboost/hist_gradient_boosting/qda", extended)
-	}
-	defaults := map[string]bool{}
-	for _, name := range AllModels() {
-		defaults[name] = true
-	}
-	for _, name := range extended {
-		if defaults[name] {
-			t.Errorf("extended family %s leaked into the default zoo", name)
-		}
-	}
-	// Extended families build and train when requested explicitly.
-	train := blob(150, testRNG(60))
-	for _, family := range extended {
-		spec := SpaceSpec{Models: []string{family}, DataPreprocessors: true}
-		space, err := spec.Space()
-		if err != nil {
-			t.Fatalf("%s: %v", family, err)
-		}
-		p, err := spec.Build(space.Default(), train.Features())
-		if err != nil {
-			t.Fatalf("%s: %v", family, err)
-		}
-		if _, err := p.Fit(train.All(), testRNG(61)); err != nil {
-			t.Fatalf("%s fit: %v", family, err)
-		}
-		pred, _ := p.Predict(train.All())
-		if acc := metrics.Accuracy(train.Y, pred); acc < 0.9 {
-			t.Errorf("%s training accuracy %.3f", family, acc)
 		}
 	}
 }

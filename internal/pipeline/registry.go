@@ -19,10 +19,6 @@ type ModelDef struct {
 	// CostRank orders families by typical training cost (1 = cheapest);
 	// cost-frugal search (FLAML) starts from low ranks.
 	CostRank int
-	// Extended marks opt-in families outside the default search spaces
-	// (the lineup the paper's systems shipped with stays stable); list
-	// them explicitly in SpaceSpec.Models or via ExtendedModels().
-	Extended bool
 }
 
 // modelRegistry holds every model family available to search spaces.
@@ -192,78 +188,15 @@ var modelRegistry = map[string]ModelDef{
 	},
 }
 
-// AllModels lists the default model family names in deterministic order
-// (extended opt-in families excluded).
+// AllModels lists the registered model family names in deterministic
+// order.
 func AllModels() []string {
 	names := make([]string, 0, len(modelRegistry))
-	for name, def := range modelRegistry {
-		if !def.Extended {
-			names = append(names, name)
-		}
+	for name := range modelRegistry {
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
-}
-
-// ExtendedModels lists the opt-in families beyond the paper-default zoo:
-// AdaBoost, QDA and histogram gradient boosting.
-func ExtendedModels() []string {
-	names := make([]string, 0, 4)
-	for name, def := range modelRegistry {
-		if def.Extended {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	modelRegistry["adaboost"] = ModelDef{
-		Name:     "adaboost",
-		CostRank: 4,
-		Extended: true,
-		Params: []Param{
-			{Name: "adaboost.rounds", Kind: Int, Min: 10, Max: 100, Log: true, Default: 30},
-			{Name: "adaboost.max_depth", Kind: Int, Min: 1, Max: 4, Default: 1},
-		},
-		Build: func(cfg Config) ml.Classifier {
-			return ml.NewAdaBoost(ml.AdaBoostParams{
-				Rounds: cfg.Int("adaboost.rounds", 30),
-				Tree:   ml.TreeParams{MaxDepth: cfg.Int("adaboost.max_depth", 1)},
-			})
-		},
-	}
-	modelRegistry["qda"] = ModelDef{
-		Name:     "qda",
-		CostRank: 3,
-		Extended: true,
-		Params: []Param{
-			{Name: "qda.reg", Kind: Float, Min: 1e-4, Max: 1, Log: true, Default: 1e-3},
-		},
-		Build: func(cfg Config) ml.Classifier {
-			return ml.NewQDA(cfg.Float("qda.reg", 1e-3))
-		},
-	}
-	modelRegistry["hist_gradient_boosting"] = ModelDef{
-		Name:     "hist_gradient_boosting",
-		CostRank: 4,
-		Extended: true,
-		Params: []Param{
-			{Name: "hist_gradient_boosting.rounds", Kind: Int, Min: 10, Max: 150, Log: true, Default: 50},
-			{Name: "hist_gradient_boosting.lr", Kind: Float, Min: 0.01, Max: 0.4, Log: true, Default: 0.1},
-			{Name: "hist_gradient_boosting.max_depth", Kind: Int, Min: 2, Max: 6, Default: 3},
-			{Name: "hist_gradient_boosting.bins", Kind: Int, Min: 8, Max: 64, Log: true, Default: 32},
-		},
-		Build: func(cfg Config) ml.Classifier {
-			return ml.NewHistBoosting(ml.HistBoostingParams{
-				Rounds:       cfg.Int("hist_gradient_boosting.rounds", 50),
-				LearningRate: cfg.Float("hist_gradient_boosting.lr", 0.1),
-				MaxDepth:     cfg.Int("hist_gradient_boosting.max_depth", 3),
-				Bins:         cfg.Int("hist_gradient_boosting.bins", 32),
-			})
-		},
-	}
 }
 
 // ModelByName returns the registered model definition.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/hw"
+	"repro/internal/metrics"
 	"repro/internal/ml"
 	"repro/internal/tabular"
 )
@@ -392,7 +393,7 @@ func (e *Engine) flush(ft time.Duration) []Response {
 				continue
 			}
 			p := proba[i]
-			out = append(out, e.resolve(r, Served, "", share, argmax(p), p, done))
+			out = append(out, e.resolve(r, Served, "", share, metrics.Argmax(p), p, done))
 		}
 	}
 	return out
@@ -461,14 +462,4 @@ func (e *Engine) costDuration(c ml.Cost) time.Duration {
 		d += e.machine.Duration(w, e.cfg.Cores)
 	}
 	return d
-}
-
-func argmax(p []float64) int {
-	best := 0
-	for i, v := range p {
-		if v > p[best] {
-			best = i
-		}
-	}
-	return best
 }
