@@ -26,6 +26,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -110,6 +111,14 @@ func (o *options) validate() error {
 	}
 	if o.memoryGB < 0 {
 		return fmt.Errorf("-memory-gb %v must not be negative (0 means off)", o.memoryGB)
+	}
+	if o.experiment != "all" {
+		known := experimentIDs("all")
+		for _, id := range strings.Split(o.experiment, ",") {
+			if !slices.Contains(known, strings.TrimSpace(id)) {
+				return fmt.Errorf("unknown experiment %q in -experiment %q (known: all, %s)", id, o.experiment, strings.Join(known, ", "))
+			}
+		}
 	}
 
 	modes := 0

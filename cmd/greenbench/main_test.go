@@ -181,6 +181,18 @@ func TestOptionsValidate(t *testing.T) {
 			o.merge = "a.jsonl"
 			o.experiment = "fig3,table8"
 		}, wantErr: "reruns a grid"},
+		{name: "unknown experiment", mutate: func(o *options) {
+			o.experiment = "fig3,tabel4"
+		}, wantErr: "unknown experiment"},
+		{name: "trailing comma", mutate: func(o *options) {
+			o.experiment = "fig3,"
+		}, wantErr: "unknown experiment"},
+		{name: "all", mutate: func(o *options) {
+			o.experiment = "all"
+		}},
+		{name: "spaced list", mutate: func(o *options) {
+			o.experiment = "fig3, fig4"
+		}},
 
 		{name: "repo alone", mutate: func(o *options) {
 			o.repoDir = "store"

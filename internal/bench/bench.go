@@ -697,15 +697,6 @@ func sortedDatasets(m map[string][]float64) []string {
 	return names
 }
 
-// BySystem indexes cell stats by system name.
-func BySystem(stats []CellStats) map[string][]CellStats {
-	out := make(map[string][]CellStats)
-	for _, s := range stats {
-		out[s.Key.System] = append(out[s.Key.System], s)
-	}
-	return out
-}
-
 // BestCell returns the cell with the highest mean score for the system.
 func BestCell(stats []CellStats, system string) (CellStats, bool) {
 	var best CellStats

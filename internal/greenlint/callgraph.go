@@ -1,25 +1,22 @@
 package greenlint
 
 // A lightweight package-local call graph, plus the function-level
-// directive vocabulary (`//greenlint:owns`, `//greenlint:hotpath`).
+// directive `//greenlint:hotpath`.
 //
 // greenlint loads one package at a time through the source importer, so
 // whole-program call graphs are out of reach by design — and not
-// needed: the facts the analyzers propagate (takes ownership of a
-// pooled frame, returns an owned frame, must stay allocation-free) are
-// package-local properties of this repository's layering. Cross-package
-// boundaries are handled by contract instead: ownership crosses them
-// only through return values, and hot paths do not call across them.
+// needed: the fact hotalloc propagates (must stay allocation-free) is a
+// package-local property of this repository's layering. Cross-package
+// boundaries are handled by contract instead: hot paths do not call
+// across them.
 //
-// Function-level directives attach to a declaration either from inside
-// its doc comment or from the line directly above the `func` keyword:
+// A function-level directive attaches to a declaration either from
+// inside its doc comment or from the line directly above the `func`
+// keyword:
 //
 //	//greenlint:hotpath <reason>  — the function (and every package-
 //	    local function it transitively calls) must not allocate; the
 //	    hotalloc analyzer enforces it.
-//	//greenlint:owns <reason>     — the function takes ownership of any
-//	    pooled frame or view passed to it; callers' release obligations
-//	    transfer at the call site (framerelease).
 
 import (
 	"go/ast"
@@ -116,19 +113,12 @@ func (g *callGraph) reach(roots []*types.Func) map[*types.Func]*types.Func {
 	return owner
 }
 
-// funcDirective is one function-level directive (owns/hotpath) bound to
-// its declaration.
-type funcDirective struct {
-	directive
-	fn *types.Func
-}
-
-// funcDirectives extracts every owns/hotpath directive and attaches it
-// to the function it annotates. Directives that attach to no function
-// are returned in dangling for validateDirectives to flag — an
+// hotpathRoots attaches every hotpath directive to the function it
+// annotates and returns those functions. Directives that attach to no
+// function are returned in dangling for validateDirectives to flag — an
 // annotation floating in space must not silently grant (or fail to
 // grant) anything.
-func funcDirectives(p *Pass) (attached []funcDirective, dangling []directive) {
+func hotpathRoots(p *Pass) (roots []*types.Func, dangling []directive) {
 	type declSite struct {
 		fn      *types.Func
 		file    string
@@ -160,7 +150,7 @@ func funcDirectives(p *Pass) (attached []funcDirective, dangling []directive) {
 		}
 	}
 	for _, d := range parseDirectives(p.Fset, p.Pkg.Files) {
-		if d.verb != "owns" && d.verb != "hotpath" {
+		if d.verb != "hotpath" {
 			continue
 		}
 		var fn *types.Func
@@ -177,7 +167,7 @@ func funcDirectives(p *Pass) (attached []funcDirective, dangling []directive) {
 			dangling = append(dangling, d)
 			continue
 		}
-		attached = append(attached, funcDirective{directive: d, fn: fn})
+		roots = append(roots, fn)
 	}
-	return attached, dangling
+	return roots, dangling
 }

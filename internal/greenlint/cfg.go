@@ -3,11 +3,10 @@ package greenlint
 // Intraprocedural control-flow graphs over go/ast.
 //
 // The syntactic analyzers (wallclock, rowmajor, ...) ask "does this
-// expression appear anywhere?". The ownership and accounting analyzers
-// (framerelease, meteredcost) ask a strictly harder question: "does
-// this obligation get discharged on EVERY path?" — including the early
-// error return, the loop that breaks out, and the defer that only runs
-// if its statement executed. That needs basic blocks and edges, not an
+// expression appear anywhere?". The accounting analyzer (meteredcost)
+// asks a strictly harder question: "does this obligation get discharged
+// on EVERY path?" — including the early error return, the loop that
+// breaks out, and the defer that only runs if its statement executed. That needs basic blocks and edges, not an
 // ast.Inspect.
 //
 // The builder decomposes one function body into blocks of atomic nodes
@@ -25,22 +24,21 @@ package greenlint
 //     head→done edge;
 //   - return: edge to the shared Exit block;
 //   - panic(...): edge to the shared PanicExit block, kept separate so
-//     ownership checks can demand release on ordinary returns without
+//     obligation checks can demand discharge on ordinary returns without
 //     claiming anything about a dying process (defers still run there —
 //     analyzers that model defer see the DeferStmt node on the path);
 //   - goto: edge to the labeled statement's block.
 //
 // defer and go statements stay in the node stream as whole DeferStmt /
-// GoStmt nodes; what deferred execution *means* is analyzer policy (the
-// framerelease lattice has a distinct owned-with-deferred-release
-// state), not graph structure.
+// GoStmt nodes; what deferred execution *means* is analyzer policy, not
+// graph structure.
 //
 // Function literals are opaque at this level: their bodies are NOT
 // inlined into the enclosing graph (they execute at some other time, or
 // never). Analyzers build a separate CFG per literal and treat captures
 // conservatively. Range statements contribute their operand expression
 // to the head block; the per-iteration key/value rebinding is invisible,
-// which is sound for the obligation analyses because an obligation is
+// which is sound for the obligation analysis because an obligation is
 // never introduced by a range binding.
 
 import (

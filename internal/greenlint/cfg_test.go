@@ -4,9 +4,9 @@ package greenlint
 // assertions are structural — which blocks exist, which edges connect
 // them, what is reachable — rather than golden String() dumps, so the
 // builder can renumber blocks without breaking the suite. The early-
-// return and defer cases are the load-bearing ones: framerelease's
-// leak guarantee is exactly "the obligation survives to Exit along the
-// early-return edge".
+// return and defer cases are the load-bearing ones: meteredcost's
+// unmetered-path guarantee is exactly "the obligation survives to Exit
+// along the early-return edge".
 
 import (
 	"go/ast"
@@ -128,7 +128,7 @@ func TestCFGIfElseJoins(t *testing.T) {
 	}
 }
 
-// TestCFGEarlyReturnEdge pins the edge framerelease's leak check rides:
+// TestCFGEarlyReturnEdge pins the edge meteredcost's path check rides:
 // the then-arm of an early return goes straight to Exit, bypassing the
 // code after the if.
 func TestCFGEarlyReturnEdge(t *testing.T) {
@@ -237,8 +237,8 @@ func TestCFGSwitchFallthroughAndDefault(t *testing.T) {
 }
 
 // TestCFGDeferStaysInStream pins the defer contract: the DeferStmt is
-// an ordinary node on the path where it executes (so framerelease can
-// flip the state to owned-with-deferred-release), not an edge.
+// an ordinary node on the path where it executes (so an analyzer that
+// models defer sees it only on the paths that ran it), not an edge.
 func TestCFGDeferStaysInStream(t *testing.T) {
 	c := buildCFGFromSrc(t, `
 		defer func() {}()
@@ -262,8 +262,8 @@ func TestCFGDeferStaysInStream(t *testing.T) {
 	}
 }
 
-// TestCFGPanicEdge pins the panic/ordinary-exit separation framerelease
-// and meteredcost rely on: panic paths reach PanicExit, never Exit.
+// TestCFGPanicEdge pins the panic/ordinary-exit separation meteredcost
+// relies on: panic paths reach PanicExit, never Exit.
 func TestCFGPanicEdge(t *testing.T) {
 	c := buildCFGFromSrc(t, `
 		if c {

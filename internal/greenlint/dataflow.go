@@ -13,8 +13,8 @@ package greenlint
 // Facts are opaque to the solver. Clients provide a Lattice (bottom,
 // join, equality) and a transfer function over whole blocks. Transfer
 // functions MUST be pure with respect to their input fact (clone before
-// mutating) and monotone; the analyzers in this package share the
-// varState fact type below, which carries both properties.
+// mutating) and monotone; meteredcost uses the varState fact type
+// below, which carries both properties.
 
 import "fmt"
 
@@ -106,12 +106,11 @@ func SolveForward(c *CFG, lat Lattice, entry Fact, transfer func(*Block, Fact) F
 	return sol, nil
 }
 
-// varState is the shared fact shape of the obligation analyses: a state
+// varState is the fact shape of the obligation analysis: a state
 // bitmask per tracked variable (identified by its types.Object, passed
 // as a comparable key). The bitmask is a SET of path-states — the union
-// over all paths reaching the program point — so "may still be owned"
-// and "may already be released" coexist and each triggers its own
-// diagnostic.
+// over all paths reaching the program point — so "may still be
+// uncharged" and "already charged" coexist on one variable.
 type varState map[any]uint8
 
 // varLattice is the join-semilattice over varState facts: key-wise

@@ -7,7 +7,7 @@
 // those cuts at review time instead of waiting for a regression test to
 // notice the bytes changed.
 //
-// Ten analyzers run over every package:
+// Nine analyzers run over every package:
 //
 //   - wallclock: no time.Now/time.Since/time.Sleep — measured code must
 //     go through internal/vclock and internal/energy.
@@ -26,11 +26,6 @@
 //     make float reduction order (and the output bits) depend on
 //     scheduling; the sanctioned pattern is item-addressed slots reduced
 //     on the caller in slot order.
-//   - framerelease: CFG/dataflow linear-ownership check — a pooled frame
-//     from tabular.NewPooledFrame must reach Release on every path
-//     (early error returns included), exactly once, unless ownership is
-//     transferred by returning it or passing it to a //greenlint:owns
-//     function.
 //   - meteredcost: energy-accounting completeness — an ml.Cost returned
 //     by fit/predict compute must be charged, accumulated, or returned
 //     on every path; no compute path is free.
@@ -50,11 +45,10 @@
 // the line immediately below it (so it can sit on the offending line or
 // on its own line just above). The reason is mandatory, and a directive
 // naming an unknown check is itself a finding — a typo must not turn
-// into a silent exemption. Two further verbs attach to function
-// declarations (doc comment or the line directly above `func`) and are
-// grants rather than suppressions:
+// into a silent exemption. One further verb attaches to function
+// declarations (doc comment or the line directly above `func`) and is a
+// grant rather than a suppression:
 //
-//	//greenlint:owns <reason>     — takes ownership of frame arguments
 //	//greenlint:hotpath <reason>  — must stay allocation-free
 package greenlint
 
@@ -92,7 +86,7 @@ type Analyzer struct {
 }
 
 // Analyzers is the full suite, in the order findings are attributed.
-var Analyzers = []*Analyzer{Wallclock, GlobalRand, MapOrder, WrapErr, RowMajor, ReduceOrder, FrameRelease, MeteredCost, HotAlloc, UnusedAllow}
+var Analyzers = []*Analyzer{Wallclock, GlobalRand, MapOrder, WrapErr, RowMajor, ReduceOrder, MeteredCost, HotAlloc, UnusedAllow}
 
 // UnusedAllow reports //greenlint:allow directives that suppress no
 // finding. It has no Run of its own: usedness falls out of the
@@ -160,8 +154,8 @@ func (p *Pass) typeOf(expr ast.Expr) types.Type {
 // directive is one parsed //greenlint: comment.
 type directive struct {
 	pos    token.Position
-	verb   string // allow, owns, or hotpath
-	check  string // allow only; owns/hotpath take no check name
+	verb   string // allow or hotpath
+	check  string // allow only; hotpath takes no check name
 	reason string
 }
 
@@ -186,8 +180,8 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) []directive {
 				if len(fields) > 0 {
 					d.verb = fields[0]
 				}
-				if d.verb == "owns" || d.verb == "hotpath" {
-					// Function-level grants: everything after the verb
+				if d.verb == "hotpath" {
+					// Function-level grant: everything after the verb
 					// is the reason; there is no check operand.
 					if len(fields) > 1 {
 						d.reason = strings.Join(fields[1:], " ")
@@ -208,11 +202,11 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) []directive {
 }
 
 // validateDirectives turns malformed directives into findings: an
-// unknown verb, an unknown check name, a missing reason, or an
-// owns/hotpath grant that attaches to no function declaration must fail
-// the build rather than silently suppress (or grant) nothing — or the
-// wrong thing. dangling holds the positions of owns/hotpath directives
-// funcDirectives could not attach.
+// unknown verb, an unknown check name, a missing reason, or a hotpath
+// grant that attaches to no function declaration must fail the build
+// rather than silently suppress (or grant) nothing — or the wrong thing.
+// dangling holds the positions of hotpath directives hotpathRoots could
+// not attach.
 func validateDirectives(dirs []directive, dangling map[token.Position]bool) []Finding {
 	var out []Finding
 	for _, d := range dirs {
@@ -226,18 +220,18 @@ func validateDirectives(dirs []directive, dangling map[token.Position]bool) []Fi
 				out = append(out, Finding{Pos: d.pos, Check: DirectiveCheck,
 					Msg: fmt.Sprintf("//greenlint:allow %s needs a reason — say why this site is exempt", d.check)})
 			}
-		case "owns", "hotpath":
+		case "hotpath":
 			switch {
 			case d.reason == "":
 				out = append(out, Finding{Pos: d.pos, Check: DirectiveCheck,
-					Msg: fmt.Sprintf("//greenlint:%s needs a reason — say why this function holds the contract", d.verb)})
+					Msg: "//greenlint:hotpath needs a reason — say why this function holds the contract"})
 			case dangling[d.pos]:
 				out = append(out, Finding{Pos: d.pos, Check: DirectiveCheck,
-					Msg: fmt.Sprintf("//greenlint:%s attaches to no function declaration; put it in the doc comment or on the line directly above func", d.verb)})
+					Msg: "//greenlint:hotpath attaches to no function declaration; put it in the doc comment or on the line directly above func"})
 			}
 		default:
 			out = append(out, Finding{Pos: d.pos, Check: DirectiveCheck,
-				Msg: fmt.Sprintf("unknown greenlint directive %q (supported: allow <check> <reason>, owns <reason>, hotpath <reason>)", d.verb)})
+				Msg: fmt.Sprintf("unknown greenlint directive %q (supported: allow <check> <reason>, hotpath <reason>)", d.verb)})
 		}
 	}
 	return out
@@ -326,7 +320,7 @@ func lintPackage(fset *token.FileSet, pkg *Package, enabled map[string]bool) []F
 			}
 		}
 	}
-	_, danglingDirs := funcDirectives(pass)
+	_, danglingDirs := hotpathRoots(pass)
 	dangling := make(map[token.Position]bool, len(danglingDirs))
 	for _, d := range danglingDirs {
 		dangling[d.pos] = true

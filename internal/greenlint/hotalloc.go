@@ -49,13 +49,7 @@ var HotAlloc = &Analyzer{
 }
 
 func runHotAlloc(p *Pass) {
-	attached, _ := funcDirectives(p)
-	var roots []*types.Func
-	for _, fd := range attached {
-		if fd.verb == "hotpath" {
-			roots = append(roots, fd.fn)
-		}
-	}
+	roots, _ := hotpathRoots(p)
 	if len(roots) == 0 {
 		return
 	}

@@ -11,9 +11,10 @@ package greenlint
 // it was, which is precisely the measurement gap the source paper
 // warns about.
 //
-// The analysis mirrors framerelease's machinery on a smaller lattice.
-// Any call (from non-test code) whose results include an ml.Cost mints
-// an obligation; the variable holding it carries path-states
+// The analysis is an intraprocedural forward dataflow over the CFG (see
+// cfg.go and dataflow.go). Any call (from non-test code) whose results
+// include an ml.Cost mints an obligation; the variable holding it
+// carries path-states
 //
 //	Uncharged — produced, not yet read on this path
 //	Charged   — read (charged, accumulated, returned, or stored)
@@ -194,8 +195,8 @@ func (a *costAnalysis) checkBody(body *ast.BlockStmt) {
 		}
 	}
 
-	// PanicExit is exempt like framerelease's: a panicking path is not
-	// an accounting strategy anyone chose.
+	// PanicExit is exempt: a panicking path is not an accounting
+	// strategy anyone chose.
 	exitState := sol.In[cfg.Exit].(varState)
 	for obj, mask := range exitState {
 		if mask&mcUncharged != 0 {
@@ -257,8 +258,23 @@ func (a *costAnalysis) objOf(id *ast.Ident) types.Object {
 	return a.p.Pkg.Info.Uses[id]
 }
 
-// step applies one atomic node to the charge state.
-func (a *costAnalysis) step(n ast.Node, st varState, rep frameReporter) varState {
+// reporter receives the findings of the report pass.
+type reporter func(pos token.Pos, format string, args ...any)
+
+// callName is the short name of call's callee, for diagnostics.
+func callName(call *ast.CallExpr) string {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return "call"
+}
+
+// step applies one atomic node to the charge state. rep is nil during
+// fixpoint solving and non-nil during the report pass.
+func (a *costAnalysis) step(n ast.Node, st varState, rep reporter) varState {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
 		return a.stepAssign(n, st, rep)
@@ -313,7 +329,7 @@ func (a *costAnalysis) step(n ast.Node, st varState, rep frameReporter) varState
 	return st
 }
 
-func (a *costAnalysis) stepAssign(as *ast.AssignStmt, st varState, rep frameReporter) varState {
+func (a *costAnalysis) stepAssign(as *ast.AssignStmt, st varState, rep reporter) varState {
 	// `_ = c` on a tracked, still-uncharged cost is an explicit
 	// discard, not a charge.
 	if len(as.Lhs) == 1 && len(as.Rhs) == 1 {

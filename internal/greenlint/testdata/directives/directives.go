@@ -29,3 +29,5 @@ func tooFarAway() time.Time {
 //greenlint:allow wallclock // want "\\[directive\\] //greenlint:allow wallclock needs a reason"
 
 //greenlint:deny wallclock because // want "\\[directive\\] unknown greenlint directive \"deny\""
+
+//greenlint:owns a retired verb // want "\\[directive\\] unknown greenlint directive \"owns\""

@@ -157,9 +157,6 @@ func (f *ForestClassifier) Name() string {
 // parallel.
 func (f *ForestClassifier) ParallelFrac() float64 { return 0.9 }
 
-// TreeCount reports the number of fitted trees.
-func (f *ForestClassifier) TreeCount() int { return len(f.trees) }
-
 // ForestRegressor is a random-forest regressor. It additionally exposes the
 // across-tree prediction variance, which the Bayesian-optimization
 // surrogate needs for expected improvement.

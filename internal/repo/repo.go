@@ -247,13 +247,9 @@ func (r *Repository) Walk(fn func(*Entry) error) (damaged int, err error) {
 	return damaged, nil
 }
 
-// WalkFingerprint is Walk restricted to one grid fingerprint. A missing
+// walkFingerprint is Walk restricted to one grid fingerprint. A missing
 // fingerprint directory is an empty walk, not an error — a cold store
 // simply has no entries yet.
-func (r *Repository) WalkFingerprint(fingerprint string, fn func(*Entry) error) (damaged int, err error) {
-	return r.walkFingerprint(fingerprint, fn)
-}
-
 func (r *Repository) walkFingerprint(fingerprint string, fn func(*Entry) error) (damaged int, err error) {
 	dir := filepath.Join(r.dir, fingerprint)
 	ents, err := os.ReadDir(dir)

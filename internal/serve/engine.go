@@ -109,15 +109,6 @@ type Stats struct {
 	JournalDropped int
 }
 
-// Submitted reports the total requests resolved so far.
-func (s Stats) Submitted() int {
-	n := 0
-	for _, c := range s.Outcomes {
-		n += c
-	}
-	return n
-}
-
 // Count reports the resolved-request count for one outcome.
 func (s Stats) Count(o Outcome) int {
 	if o >= numOutcomes {

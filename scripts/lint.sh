@@ -29,16 +29,15 @@
 # section of DESIGN.md); writes to captured variables from inside such
 # goroutines need their own annotation.
 #
-# The CFG-backed analyzers (framerelease, meteredcost, hotalloc) enforce
-# the pooled-frame ownership discipline, ml.Cost accounting, and
-# allocation-free hot kernels; see DESIGN.md "Static analysis" for the
-# //greenlint:owns and //greenlint:hotpath vocabulary.
+# The CFG-backed analyzers (meteredcost, hotalloc) enforce ml.Cost
+# accounting and allocation-free hot kernels; see DESIGN.md "Static
+# analysis" for the //greenlint:allow and //greenlint:hotpath vocabulary.
 #
 # Usage: scripts/lint.sh [-checks name,name,...]
 #
 # With -checks, only the named greenlint analyzers run (gofmt and vet
 # are skipped) — the fast inner loop while iterating on one contract,
-# e.g. scripts/lint.sh -checks framerelease,hotalloc.
+# e.g. scripts/lint.sh -checks meteredcost,hotalloc.
 set -eu
 
 cd "$(dirname "$0")/.."
