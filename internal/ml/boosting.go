@@ -43,9 +43,9 @@ func (p BoostingParams) normalized() BoostingParams {
 type BoostingClassifier struct {
 	Params  BoostingParams
 	classes int
-	// rounds[r][k] is the class-k tree of round r.
-	rounds [][]*TreeRegressor
-	prior  []float64
+	// trees[r*classes+k] is the class-k tree of round r.
+	trees []*TreeRegressor
+	prior []float64
 }
 
 // NewBoostingClassifier constructs a gradient-boosting classifier.
@@ -67,13 +67,10 @@ func (b *BoostingClassifier) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) 
 	for k, c := range counts {
 		b.prior[k] = float64(c+1) / float64(n+b.classes)
 	}
-	logits := make([][]float64, n) //greenlint:allow rowmajor per-row class logits, class-wide not feature-wide
-	for i := range logits {
-		logits[i] = make([]float64, b.classes)
-	}
+	logits := probaSlab(n, b.classes)
 
 	var cost Cost
-	b.rounds = b.rounds[:0]
+	b.trees = make([]*TreeRegressor, 0, p.Rounds*b.classes)
 	proba := make([]float64, b.classes)
 	targets := make([]float64, n)
 	// Residual columns are rewritten in full every round.
@@ -87,7 +84,6 @@ func (b *BoostingClassifier) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) 
 	var presort *keyPresort
 	defer func() { presort.release() }()
 	for r := 0; r < p.Rounds; r++ {
-		roundTrees := make([]*TreeRegressor, b.classes)
 		// Residuals for every class under current logits.
 		for i := 0; i < n; i++ {
 			copy(proba, logits[i])
@@ -134,45 +130,37 @@ func (b *BoostingClassifier) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) 
 			if err != nil {
 				return cost, fmt.Errorf("ml: boosting round %d class %d: %w", r, k, err)
 			}
-			pred, c2 := tree.PredictReg(ds)
-			cost.Add(c2)
-			for i, v := range pred {
-				logits[i][k] += p.LearningRate * v
-			}
-			roundTrees[k] = tree
+			// The tree's leaves add straight into the class-k logits. Its
+			// traversal Cost must follow its own fit Cost: cost.Tree also
+			// carries non-integer split costs, so deferring the integer
+			// visit terms would regroup the float sum.
+			b.trees = append(b.trees, tree)
+			visits := walkRows(b.trees[len(b.trees)-1:], ds, func(_, i int, leaf *treeNode) {
+				logits[i][k] += p.LearningRate * leaf.value
+			})
+			cost.Add(Cost{Tree: 2 * visits})
 		}
-		b.rounds = append(b.rounds, roundTrees)
 	}
 	return cost, nil
 }
 
-// PredictProba implements Classifier.
+// PredictProba implements Classifier. One fused walk adds every tree's
+// shrunken leaf value straight into its class logit in one rows×classes
+// slab, in round order, and each row is softmaxed in place.
 func (b *BoostingClassifier) PredictProba(x tabular.View) ([][]float64, Cost) {
 	m := x.Rows()
-	if len(b.rounds) == 0 {
+	if len(b.trees) == 0 {
 		return uniformProba(m, max(b.classes, 2)), Cost{}
 	}
-	var cost Cost
-	out := make([][]float64, m)    //greenlint:allow rowmajor proba output rows, class-wide not feature-wide
-	logits := make([][]float64, m) //greenlint:allow rowmajor per-row class logits, class-wide not feature-wide
-	for i := range logits {
-		logits[i] = make([]float64, b.classes)
+	out := probaSlab(m, b.classes)
+	lr, classes := b.Params.LearningRate, b.classes
+	visits := walkRows(b.trees, x, func(t, i int, leaf *treeNode) {
+		out[i][t%classes] += lr * leaf.value
+	})
+	for _, row := range out {
+		softmaxInPlace(row)
 	}
-	for _, roundTrees := range b.rounds {
-		for k, tree := range roundTrees {
-			pred, c := tree.PredictReg(x)
-			cost.Add(c)
-			for i, v := range pred {
-				logits[i][k] += b.Params.LearningRate * v
-			}
-		}
-	}
-	for i := 0; i < m; i++ {
-		softmaxInPlace(logits[i])
-		out[i] = logits[i]
-	}
-	cost.Generic += float64(m * b.classes * 2)
-	return out, cost
+	return out, Cost{Generic: float64(m * b.classes * 2), Tree: 2 * visits}
 }
 
 // Clone implements Classifier.

@@ -102,39 +102,29 @@ func (f *ForestClassifier) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) {
 }
 
 // PredictProba implements Classifier by averaging tree leaf
-// distributions. Trees predict in parallel into tree-indexed slots;
-// the average reduces on the caller in tree order, so the float
-// accumulation sequence matches the sequential loop exactly.
+// distributions. One fused walk (walkRows) adds every tree's leaf
+// straight into one rows×classes slab, tree by tree in slice order
+// within each row block, so each output element sums its terms in the
+// order the sequential per-tree loop did.
 func (f *ForestClassifier) PredictProba(x tabular.View) ([][]float64, Cost) {
+	n := x.Rows()
 	if len(f.trees) == 0 {
-		return uniformProba(x.Rows(), max(f.classes, 2)), Cost{}
+		return uniformProba(n, max(f.classes, 2)), Cost{}
 	}
-	var cost Cost
-	out := make([][]float64, x.Rows()) //greenlint:allow rowmajor proba output rows, class-wide not feature-wide
-	for i := range out {
-		out[i] = make([]float64, f.classes)
-	}
-	probas := make([][][]float64, len(f.trees))
-	treeCosts := make([]Cost, len(f.trees))
-	runIndexed(len(f.trees), func(_, t int) {
-		probas[t], treeCosts[t] = f.trees[t].PredictProba(x)
+	out := probaSlab(n, f.classes)
+	visits := walkRows(f.trees, x, func(_, i int, leaf *treeNode) {
+		row := out[i]
+		for j, p := range leaf.proba {
+			row[j] += p
+		}
 	})
-	for t := range f.trees {
-		cost.Add(treeCosts[t])
-		for i, row := range probas[t] {
-			for j, p := range row {
-				out[i][j] += p
-			}
-		}
-	}
 	inv := 1 / float64(len(f.trees))
-	for i := range out {
-		for j := range out[i] {
-			out[i][j] *= inv
+	for _, row := range out {
+		for j := range row {
+			row[j] *= inv
 		}
 	}
-	cost.Generic += float64(x.Rows() * f.classes * len(f.trees))
-	return out, cost
+	return out, Cost{Generic: float64(n * f.classes * len(f.trees)), Tree: 2 * visits}
 }
 
 // Clone implements Classifier.
@@ -235,32 +225,27 @@ func (f *ForestRegressor) PredictReg(x tabular.View) ([]float64, Cost) {
 }
 
 // PredictWithStd returns the per-row mean and standard deviation of the
-// tree predictions.
+// tree predictions. One fused walk accumulates each row's sum and sum of
+// squares in place in mean and std, tree by tree in slice order.
 func (f *ForestRegressor) PredictWithStd(x tabular.View) (mean, std []float64, cost Cost) {
 	mean = make([]float64, x.Rows())
 	std = make([]float64, x.Rows())
 	if len(f.trees) == 0 {
 		return mean, std, cost
 	}
-	sums := make([]float64, x.Rows())
-	sumSqs := make([]float64, x.Rows())
-	for _, tree := range f.trees {
-		pred, c := tree.PredictReg(x)
-		cost.Add(c)
-		for i, v := range pred {
-			sums[i] += v
-			sumSqs[i] += v * v
-		}
-	}
+	visits := walkRows(f.trees, x, func(_, i int, leaf *treeNode) {
+		v := leaf.value
+		mean[i] += v
+		std[i] += v * v
+	})
 	n := float64(len(f.trees))
-	for i := range mean {
-		m := sums[i] / n
-		mean[i] = m
-		variance := sumSqs[i]/n - m*m
+	for i, sum := range mean {
+		m := sum / n
+		variance := std[i]/n - m*m
+		mean[i], std[i] = m, 0
 		if variance > 0 {
 			std[i] = math.Sqrt(variance)
 		}
 	}
-	cost.Generic += float64(x.Rows()) * n
-	return mean, std, cost
+	return mean, std, Cost{Generic: float64(x.Rows()) * n, Tree: 2 * visits}
 }

@@ -1,0 +1,254 @@
+package ml
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"testing"
+
+	"repro/internal/tabular"
+)
+
+// The references below sum single-tree traverse leaves row by row, tree
+// by tree in slice order, with one Cost term per tree — the arithmetic
+// of a loop of per-tree predictions, written without walkRows.
+
+func refForestProba(f *ForestClassifier, x tabular.View) ([][]float64, Cost) {
+	out := make([][]float64, x.Rows())
+	for i := range out {
+		out[i] = make([]float64, f.classes)
+	}
+	var cost Cost
+	for _, tree := range f.trees {
+		var visits float64
+		for i := range out {
+			leaf, v := tree.core.traverse(x, i)
+			visits += v
+			for j, p := range leaf.proba {
+				out[i][j] += p
+			}
+		}
+		cost.Add(Cost{Tree: 2 * visits})
+	}
+	inv := 1 / float64(len(f.trees))
+	for _, row := range out {
+		for j := range row {
+			row[j] *= inv
+		}
+	}
+	cost.Generic += float64(x.Rows() * f.classes * len(f.trees))
+	return out, cost
+}
+
+func refForestStd(f *ForestRegressor, x tabular.View) (mean, std []float64, cost Cost) {
+	sums := make([]float64, x.Rows())
+	sumSqs := make([]float64, x.Rows())
+	for _, tree := range f.trees {
+		var visits float64
+		for i := range sums {
+			leaf, v := tree.core.traverse(x, i)
+			visits += v
+			sums[i] += leaf.value
+			sumSqs[i] += leaf.value * leaf.value
+		}
+		cost.Add(Cost{Tree: 2 * visits})
+	}
+	n := float64(len(f.trees))
+	mean = make([]float64, x.Rows())
+	std = make([]float64, x.Rows())
+	for i := range sums {
+		mean[i] = sums[i] / n
+		if variance := sumSqs[i]/n - mean[i]*mean[i]; variance > 0 {
+			std[i] = math.Sqrt(variance)
+		}
+	}
+	cost.Generic += float64(x.Rows()) * n
+	return mean, std, cost
+}
+
+func refBoostingProba(b *BoostingClassifier, x tabular.View) ([][]float64, Cost) {
+	out := make([][]float64, x.Rows())
+	for i := range out {
+		out[i] = make([]float64, b.classes)
+	}
+	var cost Cost
+	for t, tree := range b.trees {
+		k := t % b.classes
+		var visits float64
+		for i := range out {
+			leaf, v := tree.core.traverse(x, i)
+			visits += v
+			out[i][k] += b.Params.LearningRate * leaf.value
+		}
+		cost.Add(Cost{Tree: 2 * visits})
+	}
+	for _, row := range out {
+		softmaxInPlace(row)
+	}
+	cost.Generic += float64(x.Rows() * b.classes * 2)
+	return out, cost
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, reference %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, reference %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+func sameRows(t *testing.T, got, want [][]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		sameBits(t, fmt.Sprintf("row %d", i), got[i], want[i])
+	}
+}
+
+func sameCost(t *testing.T, got, want Cost) {
+	t.Helper()
+	sameBits(t, "Cost{Generic,Tree,Matrix}",
+		[]float64{got.Generic, got.Tree, got.Matrix},
+		[]float64{want.Generic, want.Tree, want.Matrix})
+}
+
+// fusedViews returns an n-row contiguous view and an n-row Select view
+// (shuffled rows of a larger frame) of classes-class data.
+func fusedViews(n, classes int) map[string]tabular.View {
+	big := equivDataset(700, 9, classes, uint64(n+classes))
+	return map[string]tabular.View{
+		"contiguous": equivDataset(n, 9, classes, uint64(n*classes)).All(),
+		"select":     big.All().Select(rand.New(rand.NewPCG(uint64(n), 7)).Perm(big.Rows())[:n]),
+	}
+}
+
+// TestFusedWalkMatchesPerTree checks that every ensemble's fused walk —
+// one pass over row blocks that adds each tree's leaf straight into the
+// output — yields the per-tree reference bit for bit, Cost included.
+// The row counts put the last block at every edge of kernelBlock (one
+// row, one short of a block, exactly one block, one past it, several
+// blocks), each on a contiguous and a Select view, at parallelism 1 and
+// 4.
+func TestFusedWalkMatchesPerTree(t *testing.T) {
+	rowCounts := []int{1, kernelBlock - 1, kernelBlock, kernelBlock + 1, 600}
+
+	type classifierCase struct {
+		name    string
+		classes int
+		model   Classifier
+		ref     func(Classifier, tabular.View) ([][]float64, Cost)
+	}
+	forestRef := func(m Classifier, x tabular.View) ([][]float64, Cost) {
+		return refForestProba(m.(*ForestClassifier), x)
+	}
+	boostRef := func(m Classifier, x tabular.View) ([][]float64, Cost) {
+		return refBoostingProba(m.(*BoostingClassifier), x)
+	}
+	cases := []classifierCase{
+		{"rf", 3, NewForestClassifier(ForestParams{Trees: 7, Bootstrap: true, Tree: TreeParams{MaxDepth: 8}}), forestRef},
+		{"xt", 3, NewForestClassifier(ForestParams{Trees: 7, ExtraTrees: true}), forestRef},
+	}
+	for _, classes := range []int{2, 5} {
+		for _, sub := range []float64{1, 0.6} {
+			cases = append(cases, classifierCase{
+				fmt.Sprintf("gbt/classes=%d/subsample=%v", classes, sub), classes,
+				NewBoostingClassifier(BoostingParams{Rounds: 6, Subsample: sub, Tree: TreeParams{MaxDepth: 4}}), boostRef,
+			})
+		}
+	}
+	for _, c := range cases {
+		train := equivDataset(300, 9, c.classes, 41).All()
+		if _, err := c.model.Fit(train, testRNG(3)); err != nil {
+			t.Fatalf("%s: fit: %v", c.name, err)
+		}
+		for _, n := range rowCounts {
+			for view, x := range fusedViews(n, c.classes) {
+				wantProba, wantCost := c.ref(c.model, x)
+				for _, p := range []int{1, 4} {
+					t.Run(fmt.Sprintf("%s/rows=%d/%s/p=%d", c.name, n, view, p), func(t *testing.T) {
+						withParallelism(t, p, func() {
+							proba, cost := c.model.PredictProba(x)
+							sameRows(t, proba, wantProba)
+							sameCost(t, cost, wantCost)
+						})
+					})
+				}
+			}
+		}
+	}
+
+	train := equivDataset(300, 9, 2, 43).All()
+	y := make([]float64, train.Rows())
+	for i := range y {
+		y[i] = 2*train.At(i, 0) - train.At(i, 2)
+	}
+	reg := NewForestRegressor(ForestParams{Trees: 7, Bootstrap: true, Tree: TreeParams{MaxDepth: 6}})
+	if _, err := reg.FitReg(train, y, testRNG(4)); err != nil {
+		t.Fatalf("forest regressor fit: %v", err)
+	}
+	for _, n := range rowCounts {
+		for view, x := range fusedViews(n, 2) {
+			wantMean, wantStd, wantCost := refForestStd(reg, x)
+			for _, p := range []int{1, 4} {
+				t.Run(fmt.Sprintf("rf-reg/rows=%d/%s/p=%d", n, view, p), func(t *testing.T) {
+					withParallelism(t, p, func() {
+						mean, std, cost := reg.PredictWithStd(x)
+						sameBits(t, "mean", mean, wantMean)
+						sameBits(t, "std", std, wantStd)
+						sameCost(t, cost, wantCost)
+					})
+				})
+			}
+		}
+	}
+}
+
+// TestEnsemblePredictAllocsFlat pins the fused walk's allocation shape:
+// predicting one row allocates the same number of times for a 5-tree
+// and a 50-tree ensemble, because trees add into one output instead of
+// each returning its own.
+func TestEnsemblePredictAllocsFlat(t *testing.T) {
+	train := equivDataset(200, 9, 3, 17).All()
+	x := equivDataset(1, 9, 3, 18).All()
+	y := make([]float64, train.Rows())
+	for i := range y {
+		y[i] = train.At(i, 1)
+	}
+	allocs := func(size int) (forest, std, boost float64) {
+		f := NewForestClassifier(ForestParams{Trees: size, Tree: TreeParams{MaxDepth: 5}})
+		if _, err := f.Fit(train, testRNG(1)); err != nil {
+			t.Fatal(err)
+		}
+		r := NewForestRegressor(ForestParams{Trees: size, Tree: TreeParams{MaxDepth: 5}})
+		if _, err := r.FitReg(train, y, testRNG(2)); err != nil {
+			t.Fatal(err)
+		}
+		b := NewBoostingClassifier(BoostingParams{Rounds: size, Tree: TreeParams{MaxDepth: 3}})
+		if _, err := b.Fit(train, testRNG(3)); err != nil {
+			t.Fatal(err)
+		}
+		forest = testing.AllocsPerRun(20, func() { f.PredictProba(x) })
+		std = testing.AllocsPerRun(20, func() { r.PredictWithStd(x) })
+		boost = testing.AllocsPerRun(20, func() { b.PredictProba(x) })
+		return forest, std, boost
+	}
+	withParallelism(t, 1, func() {
+		f5, s5, b5 := allocs(5)
+		f50, s50, b50 := allocs(50)
+		if f5 != f50 {
+			t.Errorf("ForestClassifier.PredictProba: %v allocs with 5 trees, %v with 50", f5, f50)
+		}
+		if s5 != s50 {
+			t.Errorf("ForestRegressor.PredictWithStd: %v allocs with 5 trees, %v with 50", s5, s50)
+		}
+		if b5 != b50 {
+			t.Errorf("BoostingClassifier.PredictProba: %v allocs with 5 rounds, %v with 50", b5, b50)
+		}
+	})
+}

@@ -70,3 +70,38 @@ func BenchmarkLinearFit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEnsemblePredict measures the serving path's predict layer:
+// the fused tree walk under a 50-tree random forest and 50-round
+// gradient boosting, on one row (a closed-loop serving batch) and on
+// one full kernel block. scripts/bench.sh does not select it; CI's
+// benchmark smoke runs it with every other internal/ml benchmark.
+func BenchmarkEnsemblePredict(b *testing.B) {
+	train := benchDataset(600, 16, 3, 2)
+	test := benchDataset(kernelBlock, 16, 3, 5)
+	rf := NewForestClassifier(ForestParams{Trees: 50, Bootstrap: true})
+	if _, err := rf.Fit(train.All(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
+		b.Fatal(err)
+	}
+	gbt := NewBoostingClassifier(BoostingParams{Rounds: 50})
+	if _, err := gbt.Fit(train.All(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		model Classifier
+		rows  int
+	}{
+		{"rf/rows=1", rf, 1},
+		{"rf/rows=256", rf, kernelBlock},
+		{"gbt/rows=256", gbt, kernelBlock},
+	} {
+		x := test.All().Head(c.rows)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.model.PredictProba(x)
+			}
+		})
+	}
+}

@@ -144,13 +144,24 @@ func normalizeInPlace(v []float64) {
 
 // uniformProba returns n rows of uniform class probabilities.
 func uniformProba(n, classes int) [][]float64 {
-	out := make([][]float64, n) //greenlint:allow rowmajor proba output rows, class-wide not feature-wide
-	for i := range out {
-		row := make([]float64, classes)
+	out := probaSlab(n, classes)
+	for _, row := range out {
 		for j := range row {
 			row[j] = 1 / float64(classes)
 		}
-		out[i] = row
+	}
+	return out
+}
+
+// probaSlab returns n zeroed rows of width k carved from one n×k slab.
+// Each row is capped at its own width, so no row can write into the
+// next; rows of one slab are still one allocation, which callers that
+// hand rows out must treat as shared backing storage.
+func probaSlab(n, k int) [][]float64 {
+	slab := make([]float64, n*k)
+	out := make([][]float64, n) //greenlint:allow rowmajor proba output rows, class-wide not feature-wide
+	for i := range out {
+		out[i] = slab[i*k : (i+1)*k : (i+1)*k]
 	}
 	return out
 }

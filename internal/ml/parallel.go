@@ -15,11 +15,12 @@ import (
 // the sanctioned reduction orders (see DESIGN.md "Kernel execution"):
 //
 //  1. Disjoint slots: a goroutine writes only to slots addressed by the
-//     work item it executes (trees[i], perFeature[j], rows of its own
-//     block). No shared accumulator is ever written from a goroutine.
-//  2. Fixed reduction: cross-slot reduction (summing costs, choosing the
-//     best split, merging block statistics) happens on the calling
-//     goroutine, in slot-index order, after all workers finish.
+//     work item it executes (a forest fit's trees[i] and costs[i]; a
+//     predict block's own output rows and blockVisits[b]). No shared
+//     accumulator is ever written from a goroutine.
+//  2. Fixed reduction: cross-slot reduction (summing tree costs, summing
+//     block visit counts) happens on the calling goroutine, in
+//     slot-index order, after all workers finish.
 //
 // Work that consumes an RNG additionally pre-splits its stream: the
 // parent stream is consumed sequentially up front (one seed pair per
@@ -66,10 +67,10 @@ func Parallelism() int {
 	return p
 }
 
-// kernelBlock is the row-block width of the parallel prediction and
-// gradient loops. Block boundaries are a pure function of the row count
-// — never of the parallelism level — so per-block partial sums always
-// reduce in the same order.
+// kernelBlock is the row-block width of the parallel prediction loops
+// (the fused tree walk, kNN queries). Block boundaries are a pure
+// function of the row count — never of the parallelism level — so
+// per-block partial sums always reduce in the same order.
 const kernelBlock = 256
 
 // runIndexed executes fn(worker, i) for every i in [0, n), on up to

@@ -68,7 +68,6 @@ type treeNode struct {
 	left, right int32
 	proba       []float64 // classification leaf distribution
 	value       float64   // regression leaf value
-	depth       int
 }
 
 // treeCore is the shared CART engine for classification and regression.
@@ -132,7 +131,6 @@ func (tc *treeCore) fit(task treeTask, rng *rand.Rand) error {
 	if d == 0 {
 		return errors.New("ml: tree fit with zero features")
 	}
-	tc.nodes = tc.nodes[:0]
 	tc.cost = Cost{}
 
 	// Only a fit whose every node scores every feature keeps the segment
@@ -187,6 +185,10 @@ func (tc *treeCore) fit(task treeTask, rng *rand.Rand) error {
 		tc.presortSegments(task)
 	}
 	tc.build(task, 0, n, 0, rng)
+	// The tree grew in the pooled node buffer; it keeps one exact-size
+	// copy, so no fitted tree carries append's doubling slack.
+	tc.nodes = make([]treeNode, len(s.nodes))
+	copy(tc.nodes, s.nodes)
 	return nil
 }
 
@@ -217,7 +219,7 @@ func (tc *treeCore) build(task treeTask, lo, hi, depth int, rng *rand.Rand) int3
 	m := hi - lo
 	p := tc.params
 
-	node := treeNode{feature: -1, depth: depth}
+	node := treeNode{feature: -1}
 	pure := false
 	if tc.classes > 0 {
 		counts := tc.leafProba()
@@ -293,8 +295,8 @@ func (tc *treeCore) build(task treeTask, lo, hi, depth int, rng *rand.Rand) int3
 	self := tc.push(node)
 	left := tc.build(task, lo, nl, depth+1, rng)
 	right := tc.build(task, nl, hi, depth+1, rng)
-	tc.nodes[self].left = left
-	tc.nodes[self].right = right
+	s.nodes[self].left = left
+	s.nodes[self].right = right
 	return self
 }
 
@@ -329,9 +331,11 @@ func (tc *treeCore) partitionSegments(lo, mid, hi int) {
 	}
 }
 
+// push appends n to the pooled node buffer and returns its index.
 func (tc *treeCore) push(n treeNode) int32 {
-	tc.nodes = append(tc.nodes, n)
-	return int32(len(tc.nodes) - 1)
+	s := tc.scratch
+	s.nodes = append(s.nodes, n)
+	return int32(len(s.nodes) - 1)
 }
 
 // findSplit searches for the best (feature, threshold) over a random subset
@@ -636,6 +640,53 @@ func (tc *treeCore) traverse(v tabular.View, i int) (*treeNode, float64) {
 	}
 }
 
+// leafTree is a fitted tree the fused predict walk can traverse.
+type leafTree interface{ leafCore() *treeCore }
+
+func (t *TreeClassifier) leafCore() *treeCore { return &t.core }
+func (t *TreeRegressor) leafCore() *treeCore  { return &t.core }
+
+// walkRows is the one predict walk of every tree model — single trees,
+// both forests, and gradient boosting at predict and at fit. It hands
+// the leaf that view row i reaches in trees[t] to add(t, i, leaf), which
+// accumulates it straight into the caller's output and may write only
+// row i's slots. Row blocks run in parallel under the package
+// Parallelism knob; inside a block walkBlock visits the trees in slice
+// order, so every output element receives its per-tree terms in tree
+// order — the same += sequence as a loop of per-tree predictions, with
+// one output instead of one per tree. It returns the total node visits,
+// reduced from block-indexed slots in block order: visit counts are
+// integer-valued floats, so any grouping of them sums exactly.
+func walkRows[T leafTree](trees []T, x tabular.View, add func(t, i int, leaf *treeNode)) float64 {
+	n := x.Rows()
+	blockVisits := make([]float64, rowBlockCount(n))
+	runRowBlocks(n, func(_, b, lo, hi int) {
+		blockVisits[b] = walkBlock(trees, x, lo, hi, add)
+	})
+	var visits float64
+	for _, v := range blockVisits {
+		visits += v
+	}
+	return visits
+}
+
+// walkBlock walks rows [lo,hi) through every tree, tree by tree in
+// slice order, and returns the block's node visits.
+//
+//greenlint:hotpath per-block tree walk under every ensemble predict; add writes caller-owned output
+func walkBlock[T leafTree](trees []T, x tabular.View, lo, hi int, add func(t, i int, leaf *treeNode)) float64 {
+	var visits float64
+	for t, tree := range trees {
+		tc := tree.leafCore()
+		for i := lo; i < hi; i++ {
+			leaf, v := tc.traverse(x, i)
+			visits += v
+			add(t, i, leaf)
+		}
+	}
+	return visits
+}
+
 // NodeCount reports the number of nodes in the fitted tree.
 func (tc *treeCore) NodeCount() int { return len(tc.nodes) }
 
@@ -661,31 +712,17 @@ func (t *TreeClassifier) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) {
 	return t.core.cost, nil
 }
 
-// PredictProba implements Classifier. Rows traverse independently, so
-// row blocks run in parallel under the package Parallelism knob:
-// output rows are disjoint slots, and the per-block visit counts are
-// integer-valued floats whose block-order reduction is exact — the
-// Cost matches the sequential walk bit for bit.
+// PredictProba implements Classifier. Each output row is the leaf's own
+// distribution, shared read-only with the fitted tree.
 func (t *TreeClassifier) PredictProba(x tabular.View) ([][]float64, Cost) {
 	n := x.Rows()
 	if !t.fitted {
 		return uniformProba(n, max(t.core.classes, 2)), Cost{}
 	}
 	out := make([][]float64, n) //greenlint:allow rowmajor proba output rows, class-wide not feature-wide
-	blockVisits := make([]float64, rowBlockCount(n))
-	runRowBlocks(n, func(_, b, lo, hi int) {
-		var visits float64
-		for i := lo; i < hi; i++ {
-			leaf, v := t.core.traverse(x, i)
-			visits += v
-			out[i] = leaf.proba
-		}
-		blockVisits[b] = visits
+	visits := walkRows([]*TreeClassifier{t}, x, func(_, i int, leaf *treeNode) {
+		out[i] = leaf.proba
 	})
-	var visits float64
-	for _, v := range blockVisits {
-		visits += v
-	}
 	return out, Cost{Tree: 2 * visits}
 }
 
@@ -733,28 +770,15 @@ func (t *TreeRegressor) FitReg(x tabular.View, y []float64, rng *rand.Rand) (Cos
 	return t.core.cost, nil
 }
 
-// PredictReg implements Regressor. Row blocks run in parallel with
-// block-slot visit counts, exactly like TreeClassifier.PredictProba.
+// PredictReg implements Regressor.
 func (t *TreeRegressor) PredictReg(x tabular.View) ([]float64, Cost) {
-	n := x.Rows()
-	out := make([]float64, n)
+	out := make([]float64, x.Rows())
 	if !t.fitted {
 		return out, Cost{}
 	}
-	blockVisits := make([]float64, rowBlockCount(n))
-	runRowBlocks(n, func(_, b, lo, hi int) {
-		var visits float64
-		for i := lo; i < hi; i++ {
-			leaf, v := t.core.traverse(x, i)
-			visits += v
-			out[i] = leaf.value
-		}
-		blockVisits[b] = visits
+	visits := walkRows([]*TreeRegressor{t}, x, func(_, i int, leaf *treeNode) {
+		out[i] = leaf.value
 	})
-	var visits float64
-	for _, v := range blockVisits {
-		visits += v
-	}
 	return out, Cost{Tree: 2 * visits}
 }
 

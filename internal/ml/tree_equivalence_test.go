@@ -310,7 +310,7 @@ func compareNodes(t *testing.T, got, want []treeNode) {
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		if g.feature != w.feature || g.left != w.left || g.right != w.right || g.depth != w.depth {
+		if g.feature != w.feature || g.left != w.left || g.right != w.right {
 			t.Fatalf("node %d structure diverged: new %+v legacy %+v", i, g, w)
 		}
 		if math.Float64bits(g.threshold) != math.Float64bits(w.threshold) {

@@ -54,7 +54,7 @@ func (tc *legacyTreeCore) build(task legacyTreeTask, idx []int, depth int, rng *
 	m := len(idx)
 	p := tc.params
 
-	node := treeNode{feature: -1, depth: depth}
+	node := treeNode{feature: -1}
 	pure := false
 	if tc.classes > 0 {
 		counts := make([]float64, tc.classes)

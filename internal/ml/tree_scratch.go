@@ -9,8 +9,8 @@ import (
 // treeScratch is the reusable working memory of one treeCore.fit: the
 // column-major feature cache, the presorted key segments that nodes
 // partition down to their children, the shared node index buffer that
-// split partitioning rearranges in place, and assorted per-split
-// scratch. Instances are pooled so forests, boosting rounds and
+// split partitioning rearranges in place, the node buffer the tree grows
+// in, and assorted per-split scratch. Instances are pooled so forests, boosting rounds and
 // surrogate fits reuse the same memory instead of re-allocating per
 // tree.
 type treeScratch struct {
@@ -48,6 +48,9 @@ type treeScratch struct {
 	perm []int
 	// left/right/all are class-count scratch for split scoring.
 	left, right, all []float64
+	// nodes is the buffer build pushes the growing tree into; fit copies
+	// the finished tree out at its exact size.
+	nodes []treeNode
 }
 
 var treeScratchPool = sync.Pool{New: func() any { return new(treeScratch) }}
@@ -76,6 +79,7 @@ func getTreeScratch(n, d, classes int, needGather, segments bool) *treeScratch {
 	s.left = sizedF64(s.left, classes)
 	s.right = sizedF64(s.right, classes)
 	s.all = sizedF64(s.all, classes)
+	s.nodes = s.nodes[:0]
 	return s
 }
 
@@ -84,6 +88,10 @@ func putTreeScratch(s *treeScratch) {
 		s.colref[f] = nil // drop frame-column aliases
 	}
 	s.root = nil // drop a shared presort
+	// Drop the leaf vectors the last tree's nodes point into, so pooled
+	// scratch does not pin that tree's proba arena.
+	clear(s.nodes)
+	s.nodes = s.nodes[:0]
 	treeScratchPool.Put(s)
 }
 

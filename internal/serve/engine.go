@@ -81,7 +81,10 @@ type Response struct {
 	// Class is the predicted class, or -1 when no prediction was made.
 	Class int
 	// Proba is the class distribution (the fallback tier answers with
-	// the training priors); nil when no prediction was made.
+	// the training priors); nil when no prediction was made. It is
+	// read-only: it may share backing storage with the other rows of
+	// its batch (tree ensembles answer a batch from one slab), or with
+	// the model itself, so a caller that edits it must copy it first.
 	Proba []float64
 	// Done is the virtual resolution instant; Latency is Done - Arrival.
 	Done    time.Duration
