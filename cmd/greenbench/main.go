@@ -60,7 +60,6 @@ type options struct {
 	workers     int
 	parallelism int
 	hangRate    float64
-	wdProbes    int
 	reportDir   string
 
 	shard            string
@@ -99,9 +98,6 @@ func (o *options) validate() error {
 	}
 	if o.parallelism < 0 {
 		return fmt.Errorf("-parallelism %d must not be negative (0 means automatic)", o.parallelism)
-	}
-	if o.wdProbes < 0 {
-		return fmt.Errorf("-watchdog-probes %d must not be negative (0 means off)", o.wdProbes)
 	}
 	if o.seeds < 1 {
 		return fmt.Errorf("-seeds %d must be at least 1", o.seeds)
@@ -194,42 +190,49 @@ func fig3Derived(id string) bool {
 	return false
 }
 
+// newFlagSet registers every greenbench flag on a fresh set bound to o,
+// so main and the tests parse with one definition.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("greenbench", flag.ExitOnError)
+	fs.StringVar(&o.experiment, "experiment", "fig3", "experiment id (fig3..fig7, table3..table9, all)")
+	fs.IntVar(&o.seeds, "seeds", 3, "repeated runs per cell (paper uses 10)")
+	fs.IntVar(&o.datasets, "datasets", 0, "restrict to the first N suite datasets (0 = all 39)")
+	fs.StringVar(&o.names, "names", "", "comma-separated dataset names to run (overrides -datasets)")
+	fs.BoolVar(&o.quick, "quick", false, "tiny configuration for a fast smoke run")
+	fs.IntVar(&o.metaIters, "meta-iterations", 40, "BO iterations for development-stage experiments (paper uses 300)")
+	fs.IntVar(&o.metaTopK, "meta-topk", 8, "representative datasets for development-stage experiments (paper uses 20)")
+	fs.StringVar(&o.csvPath, "csv", "", "export the fig3 grid's raw records as CSV to this path")
+	fs.StringVar(&o.jsonPath, "json", "", "export the fig3 grid's raw records as JSON to this path")
+	fs.StringVar(&o.svgDir, "svg-dir", "", "write SVG charts of figures 3-5 into this directory")
+	fs.StringVar(&o.journal, "journal", "", "JSONL checkpoint path for the fig3 grid; an interrupted run resumes from it")
+	fs.Float64Var(&o.faultRate, "fault-rate", 0, "per-attempt fault-injection probability in [0,1] (0 = off)")
+	fs.Uint64Var(&o.faultSeed, "fault-seed", 0, "fault-injection stream seed (decisions are order-independent)")
+	fs.Float64Var(&o.memoryGB, "memory-gb", 0, "machine memory model in GB for simulated OOM kills (0 = off)")
+	fs.IntVar(&o.retries, "retries", 0, "max Fit attempts per cell (0 = 1, or 3 with faults enabled); retry energy is charged")
+	fs.IntVar(&o.workers, "workers", 0, "grid cells run concurrently (0 = NumCPU); output is identical at any worker count")
+	fs.IntVar(&o.parallelism, "parallelism", 0, "within-cell kernel worker budget (0 = auto: idle cores split across uncached cells); output is bit-identical at any level")
+	fs.Float64Var(&o.hangRate, "hang-rate", 0, "per-attempt probability in [0,1] that a Fit hangs without progress and the cell degrades to a stall (0 = off)")
+	fs.StringVar(&o.reportDir, "report-dir", "", "also write each experiment's rendered report into this directory (atomic replace)")
+	fs.StringVar(&o.shard, "shard", "", "run one content-addressed grid slice i/N (e.g. 0/4); requires -journal")
+	fs.StringVar(&o.merge, "merge", "", "comma-separated shard journals (globs allowed) to fuse into the aggregate exports instead of running")
+	fs.BoolVar(&o.mergeAllowDamage, "merge-allow-damage", false, "let -merge exit zero even when shard journals had CRC-damaged lines")
+	fs.BoolVar(&o.coordinator, "coordinator", false, "spawn -shards subprocesses, restart crashed shards, and merge their journals")
+	fs.IntVar(&o.shards, "shards", 0, "shard count for -coordinator")
+	fs.StringVar(&o.shardDir, "shard-dir", "", "directory for the coordinator's shard journals")
+	fs.IntVar(&o.maxRestarts, "max-restarts", 2, "restarts each shard gets after its first launch before it degrades to a shard failure")
+	fs.IntVar(&o.stallProbes, "shard-stall-probes", 0, "probe intervals without shard journal growth before the coordinator SIGKILLs and restarts the shard (0 = off)")
+	fs.DurationVar(&o.stallInterval, "shard-stall-interval", 2*time.Second, "real-time probe period for -shard-stall-probes")
+	fs.StringVar(&o.repoDir, "repo", "", "content-addressed evaluation repository directory; stored cells replay without refitting, executed cells are written back")
+	fs.BoolVar(&o.repoReadonly, "repo-readonly", false, "consult -repo without writing executed cells back")
+	fs.BoolVar(&o.repoAllowDamage, "repo-allow-damage", false, "treat damaged -repo cells as misses (the cells rerun) instead of refusing the store")
+	fs.BoolVar(&o.simulateEnsemble, "simulate-ensemble", false, "simulate greedy ensemble selection over the predictions stored in -repo — no fits, lookup+blend energy only")
+	return fs
+}
+
 func main() {
 	var o options
-	flag.StringVar(&o.experiment, "experiment", "fig3", "experiment id (fig3..fig7, table3..table9, all)")
-	flag.IntVar(&o.seeds, "seeds", 3, "repeated runs per cell (paper uses 10)")
-	flag.IntVar(&o.datasets, "datasets", 0, "restrict to the first N suite datasets (0 = all 39)")
-	flag.StringVar(&o.names, "names", "", "comma-separated dataset names to run (overrides -datasets)")
-	flag.BoolVar(&o.quick, "quick", false, "tiny configuration for a fast smoke run")
-	flag.IntVar(&o.metaIters, "meta-iterations", 40, "BO iterations for development-stage experiments (paper uses 300)")
-	flag.IntVar(&o.metaTopK, "meta-topk", 8, "representative datasets for development-stage experiments (paper uses 20)")
-	flag.StringVar(&o.csvPath, "csv", "", "export the fig3 grid's raw records as CSV to this path")
-	flag.StringVar(&o.jsonPath, "json", "", "export the fig3 grid's raw records as JSON to this path")
-	flag.StringVar(&o.svgDir, "svg-dir", "", "write SVG charts of figures 3-5 into this directory")
-	flag.StringVar(&o.journal, "journal", "", "JSONL checkpoint path for the fig3 grid; an interrupted run resumes from it")
-	flag.Float64Var(&o.faultRate, "fault-rate", 0, "per-attempt fault-injection probability in [0,1] (0 = off)")
-	flag.Uint64Var(&o.faultSeed, "fault-seed", 0, "fault-injection stream seed (decisions are order-independent)")
-	flag.Float64Var(&o.memoryGB, "memory-gb", 0, "machine memory model in GB for simulated OOM kills (0 = off)")
-	flag.IntVar(&o.retries, "retries", 0, "max Fit attempts per cell (0 = 1, or 3 with faults enabled); retry energy is charged")
-	flag.IntVar(&o.workers, "workers", 0, "grid cells run concurrently (0 = NumCPU); output is identical at any worker count")
-	flag.IntVar(&o.parallelism, "parallelism", 0, "within-cell kernel worker budget (0 = auto: idle cores split across uncached cells); output is bit-identical at any level")
-	flag.Float64Var(&o.hangRate, "hang-rate", 0, "per-attempt probability in [0,1] that a Fit hangs without progress, exercising the stall watchdog (0 = off)")
-	flag.IntVar(&o.wdProbes, "watchdog-probes", 0, "probe intervals without virtual progress before a cell is abandoned as stalled (0 = off, or 4 when -hang-rate > 0)")
-	flag.StringVar(&o.reportDir, "report-dir", "", "also write each experiment's rendered report into this directory (atomic replace)")
-	flag.StringVar(&o.shard, "shard", "", "run one content-addressed grid slice i/N (e.g. 0/4); requires -journal")
-	flag.StringVar(&o.merge, "merge", "", "comma-separated shard journals (globs allowed) to fuse into the aggregate exports instead of running")
-	flag.BoolVar(&o.mergeAllowDamage, "merge-allow-damage", false, "let -merge exit zero even when shard journals had CRC-damaged lines")
-	flag.BoolVar(&o.coordinator, "coordinator", false, "spawn -shards subprocesses, restart crashed shards, and merge their journals")
-	flag.IntVar(&o.shards, "shards", 0, "shard count for -coordinator")
-	flag.StringVar(&o.shardDir, "shard-dir", "", "directory for the coordinator's shard journals")
-	flag.IntVar(&o.maxRestarts, "max-restarts", 2, "restarts each shard gets after its first launch before it degrades to a shard failure")
-	flag.IntVar(&o.stallProbes, "shard-stall-probes", 0, "probe intervals without shard journal growth before the coordinator SIGKILLs and restarts the shard (0 = off)")
-	flag.DurationVar(&o.stallInterval, "shard-stall-interval", 2*time.Second, "real-time probe period for -shard-stall-probes")
-	flag.StringVar(&o.repoDir, "repo", "", "content-addressed evaluation repository directory; stored cells replay without refitting, executed cells are written back")
-	flag.BoolVar(&o.repoReadonly, "repo-readonly", false, "consult -repo without writing executed cells back")
-	flag.BoolVar(&o.repoAllowDamage, "repo-allow-damage", false, "treat damaged -repo cells as misses (the cells rerun) instead of refusing the store")
-	flag.BoolVar(&o.simulateEnsemble, "simulate-ensemble", false, "simulate greedy ensemble selection over the predictions stored in -repo — no fits, lookup+blend energy only")
-	flag.Parse()
+	// The set exits on a bad flag, so Parse's error is always nil.
+	_ = newFlagSet(&o).Parse(os.Args[1:])
 
 	if err := o.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "greenbench:", err)
@@ -299,7 +302,6 @@ func gridConfig(o options) (bench.Config, error) {
 		Retry:       bench.RetryPolicy{MaxAttempts: o.retries},
 		Workers:     o.workers,
 		Parallelism: o.parallelism,
-		Watchdog:    bench.WatchdogPolicy{Probes: o.wdProbes},
 		Shard:       o.shardSpec,
 	}
 	datasets := o.datasets
@@ -508,7 +510,6 @@ func forwardedArgs(o options) []string {
 		"-workers", strconv.Itoa(o.workers),
 		"-parallelism", strconv.Itoa(o.parallelism),
 		"-hang-rate", strconv.FormatFloat(o.hangRate, 'g', -1, 64),
-		"-watchdog-probes", strconv.Itoa(o.wdProbes),
 	}
 	if o.datasets > 0 {
 		args = append(args, "-datasets", strconv.Itoa(o.datasets))

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -33,15 +35,12 @@ func TestRunTinyFig4(t *testing.T) {
 	}
 }
 
-// defaultOptions mirrors the flag defaults so each validation case can
-// perturb exactly one knob.
+// defaultOptions parses an empty command line, so each validation case
+// can perturb exactly one knob of the real flag defaults.
 func defaultOptions() options {
-	return options{
-		experiment:    "fig3",
-		seeds:         3,
-		maxRestarts:   2,
-		stallInterval: 2 * time.Second,
-	}
+	var o options
+	_ = newFlagSet(&o).Parse(nil)
+	return o
 }
 
 func TestOptionsValidate(t *testing.T) {
@@ -123,9 +122,6 @@ func TestOptionsValidate(t *testing.T) {
 		{name: "parallelism negative", mutate: func(o *options) {
 			o.parallelism = -2
 		}, wantErr: "-parallelism"},
-		{name: "watchdog probes negative", mutate: func(o *options) {
-			o.wdProbes = -1
-		}, wantErr: "-watchdog-probes"},
 		{name: "seeds below one", mutate: func(o *options) {
 			o.seeds = 0
 		}, wantErr: "-seeds"},
@@ -292,5 +288,26 @@ func TestFig3Derived(t *testing.T) {
 		if fig3Derived(id) {
 			t.Errorf("fig3Derived(%q) = true, want false", id)
 		}
+	}
+}
+
+// TestForwardedArgsParse: a shard child parses exactly the flags the
+// coordinator forwards. A forwarded flag the child no longer defines
+// would make every shard exit 2 and degrade the whole sweep.
+func TestForwardedArgsParse(t *testing.T) {
+	o := options{
+		seeds: 2, datasets: 5, names: "credit-g,phoneme", quick: true,
+		faultRate: 0.25, faultSeed: 11, memoryGB: 0.5, retries: 3,
+		workers: 4, parallelism: 2, hangRate: 0.2,
+		repoDir: "store", repoReadonly: true, repoAllowDamage: true,
+	}
+	var got options
+	fs := newFlagSet(&got)
+	fs.Init("greenbench", flag.ContinueOnError)
+	if err := fs.Parse(forwardedArgs(o)); err != nil {
+		t.Fatalf("forwarded flags do not parse: %v", err)
+	}
+	if !reflect.DeepEqual(forwardedArgs(got), forwardedArgs(o)) {
+		t.Errorf("forwarded flags did not round-trip:\n got  %q\n want %q", forwardedArgs(got), forwardedArgs(o))
 	}
 }

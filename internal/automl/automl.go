@@ -42,12 +42,6 @@ type Options struct {
 	Meter *energy.Meter
 	// Seed makes the run reproducible.
 	Seed uint64
-	// Abandon, when non-nil, is closed by the harness's stall watchdog
-	// once the attempt has stopped making virtual progress and has been
-	// given up on. The built-in systems never block and ignore it; the
-	// injected hang fault parks on it so an abandoned hang unwinds
-	// instead of leaking its goroutine.
-	Abandon <-chan struct{}
 }
 
 func (o Options) validate() error {

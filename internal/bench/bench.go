@@ -70,11 +70,6 @@ type Config struct {
 	// level, so like Workers this is a pure throughput knob and
 	// deliberately not part of the journal fingerprint.
 	Parallelism int
-	// Watchdog configures the per-cell stall watchdog. The zero value
-	// disables it unless hang faults are injected, in which case
-	// normalization arms it with defaults — a hang with no watchdog
-	// wedges a worker forever.
-	Watchdog WatchdogPolicy
 	// Shard restricts execution to one content-addressed slice of the
 	// grid (see ShardSpec). The zero value runs the whole grid. Like
 	// Workers, sharding is an execution knob, not part of the grid's
@@ -111,34 +106,6 @@ type RepoStats struct {
 
 // Consulted reports whether a repository took part in the run.
 func (s RepoStats) Consulted() bool { return s != RepoStats{} }
-
-// WatchdogPolicy is the stall watchdog's configuration: a cell whose
-// virtual clock stops advancing across Probes consecutive real-time
-// probe intervals is abandoned. Abandonment is advisory — a parked
-// hang acknowledges with a typed stall and is recorded as a
-// faults.Stall charged with the budget it burned and scored by the
-// majority-class fallback, while a cell the probes merely caught
-// between clock advances completes and keeps its real result. Stall
-// records are therefore a pure function of the injected fault plan, so
-// a given grid stalls identically at every worker count and probe
-// interval; the probe timer is operator-facing real time and only sets
-// how quickly a hang is reclaimed. Like Workers, the policy is a
-// liveness knob and not part of the journal fingerprint.
-type WatchdogPolicy struct {
-	// Probes is how many consecutive probe intervals without virtual
-	// progress abandon the cell. Zero disables the watchdog (unless hang
-	// faults force it on, defaulting to DefaultWatchdogProbes).
-	Probes int
-	// Interval is the real-time probe period; zero defaults to 250ms.
-	Interval time.Duration
-}
-
-// DefaultWatchdogProbes is the K the watchdog defaults to when hang
-// faults are injected without an explicit policy.
-const DefaultWatchdogProbes = 4
-
-// Enabled reports whether the watchdog is armed.
-func (w WatchdogPolicy) Enabled() bool { return w.Probes > 0 }
 
 // RetryPolicy controls how the harness retries failed cells. Every
 // attempt perturbs the system seed and runs on the same execution meter,
@@ -198,14 +165,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Workers < 1 {
 		c.Workers = runtime.NumCPU()
-	}
-	if c.Faults.HangRate > 0 && c.Watchdog.Probes < 1 {
-		// Injected hangs park forever; running them without a watchdog
-		// would wedge a worker, so arm it.
-		c.Watchdog.Probes = DefaultWatchdogProbes
-	}
-	if c.Watchdog.Probes > 0 && c.Watchdog.Interval <= 0 {
-		c.Watchdog.Interval = 250 * time.Millisecond
 	}
 	return c
 }
@@ -447,18 +406,15 @@ func runCell(sys automl.System, train, test tabular.View, budget time.Duration, 
 			// Attempt 0 keeps the historical seed derivation so
 			// fault-free grids reproduce pre-resilience records.
 			opts := automl.Options{Budget: budget, Meter: execMeter, Seed: cfg.Seed*31 + seed + uint64(attempt)*0x9e37}
-			r, stalled, err := fitWithWatchdog(faults.Wrap(sys, plan), train, opts, cfg.Watchdog)
-			if stalled {
-				// The attempt stopped making virtual progress and was
-				// abandoned. A wedged trainer is not retried — a retry
-				// would gamble another stall-detection latency on the
-				// same cell — so the cell degrades straight to the
-				// fallback, keeping the budget the stall burned charged.
-				rec.Failure = faults.Stall
-				break
-			}
+			r, err := safeFit(faults.Wrap(sys, plan), train, opts)
 			if err != nil {
 				rec.Failure = faults.KindOf(err, faults.FitError)
+				if rec.Failure == faults.Stall {
+					// A wedged trainer is not retried: the cell degrades
+					// straight to the fallback, keeping the budget the
+					// stall burned charged.
+					break
+				}
 				continue
 			}
 			res = r

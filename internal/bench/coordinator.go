@@ -28,13 +28,11 @@ type CoordinatorConfig struct {
 	MaxRestarts int
 	// Deadline is the process-level straggler policy: a shard whose
 	// journal stops growing across Probes consecutive Interval-long
-	// real-time windows is presumed wedged beyond what its in-process
-	// watchdog can reclaim (hung runtime, stopped process) and is
-	// SIGKILLed, then restarted under the normal restart budget. The
-	// zero value disables deadline kills. Journal growth is the
-	// process-level analog of the cell watchdog's virtual-clock probes:
-	// the probe cadence is operator real time, but the verdict depends
-	// only on whether durable progress happened.
+	// real-time windows is presumed wedged (hung runtime, stopped
+	// process) and is SIGKILLed, then restarted under the normal
+	// restart budget. The zero value disables deadline kills. The probe
+	// cadence is operator real time, but the verdict depends only on
+	// whether durable progress happened.
 	Deadline WatchdogPolicy
 	// Dir is where the shard journals live (created if missing). Each
 	// shard i of N journals to Dir/shard-i-of-N.jsonl.
@@ -47,6 +45,23 @@ type CoordinatorConfig struct {
 	// re-execution.
 	Command func(shard ShardSpec, journalPath string) *exec.Cmd
 }
+
+// WatchdogPolicy is the coordinator's straggler deadline: a shard
+// whose journal stops growing across Probes consecutive real-time
+// probe intervals is killed and restarted. Kill, restart and resume
+// are byte-identity-safe, so the policy only decides how quickly a
+// wedged shard is reclaimed, never what the merged records are.
+type WatchdogPolicy struct {
+	// Probes is how many consecutive probe intervals without journal
+	// growth kill the shard. Zero disables the deadline.
+	Probes int
+	// Interval is the real-time probe period. It must be positive
+	// when Probes is.
+	Interval time.Duration
+}
+
+// Enabled reports whether the deadline is armed.
+func (w WatchdogPolicy) Enabled() bool { return w.Probes > 0 }
 
 // ShardStatus is the coordinator's account of one shard.
 type ShardStatus struct {
@@ -106,6 +121,9 @@ func RunCoordinator(cfg CoordinatorConfig) (*CoordinatorResult, error) {
 	}
 	if cfg.MaxRestarts < 0 {
 		return nil, fmt.Errorf("bench: coordinator restart budget %d must not be negative", cfg.MaxRestarts)
+	}
+	if cfg.Deadline.Enabled() && cfg.Deadline.Interval <= 0 {
+		return nil, fmt.Errorf("bench: coordinator deadline interval %v must be positive", cfg.Deadline.Interval)
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("bench: creating shard journal directory: %w", err)
@@ -170,9 +188,8 @@ func launchAndWatch(cfg CoordinatorConfig, st *ShardStatus) (killed bool, err er
 
 	// The process-level deadline probes the shard's journal size: a
 	// shard making progress checkpoints cells, and each checkpoint grows
-	// the journal. The in-process watchdog already reclaims hung *cells*;
-	// this deadline reclaims hung *processes* — a wedged runtime, a
-	// livelocked pool — that the in-process machinery can no longer save.
+	// the journal, so a shard whose journal stops growing is a hung
+	// *process* — a wedged runtime, a livelocked pool.
 	//greenlint:allow wallclock coordinator process-deadline probe timer is operator-facing real time; kill/restart/resume is byte-identity-safe, so the verdict never reaches a measured quantity
 	ticker := time.NewTicker(cfg.Deadline.Interval)
 	defer ticker.Stop()

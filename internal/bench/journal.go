@@ -77,10 +77,10 @@ func cellID(system, dataset string, budget time.Duration, seed uint64) string {
 // Fingerprint digests everything that determines a grid's records —
 // system lineup, datasets, budgets, seeds, scale, machine, fault and
 // retry configuration — so a journal is only ever resumed against the
-// exact grid that produced it. Pure throughput and liveness knobs
-// (Workers, Parallelism, Watchdog) are deliberately excluded: the
-// kernels are bit-identical at every within-cell parallelism level, so
-// none of them can change a record.
+// exact grid that produced it. Pure throughput knobs (Workers,
+// Parallelism) are deliberately excluded: the kernels are bit-identical
+// at every within-cell parallelism level, so neither can change a
+// record.
 func Fingerprint(systems []automl.System, cfg Config) string {
 	cfg = cfg.normalized()
 	h := fnv.New64a()

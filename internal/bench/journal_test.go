@@ -110,7 +110,6 @@ func tinyCfg() Config {
 	cfg := chaosCfg()
 	cfg.Seeds = 1
 	cfg.Faults = faults.Config{}
-	cfg.Watchdog = WatchdogPolicy{}
 	return cfg
 }
 

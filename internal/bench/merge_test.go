@@ -15,16 +15,6 @@ import (
 	"repro/internal/faults"
 )
 
-// mergeCfg is the merge tests' grid: the chaos grid without hang
-// faults, so the dozens of shard runs the property test performs do not
-// each pay the watchdog's real-time probe intervals.
-func mergeCfg() Config {
-	cfg := chaosCfg()
-	cfg.Faults.HangRate = 0
-	cfg.Watchdog = WatchdogPolicy{}
-	return cfg
-}
-
 // runShardJournals executes every shard of an n-way split in the given
 // completion order and returns the journal paths in that order.
 func runShardJournals(t *testing.T, dir string, cfg Config, n int, order []int, workers int) []string {
@@ -47,7 +37,7 @@ func runShardJournals(t *testing.T, dir string, cfg Config, n int, order []int, 
 // argument orders, the merged records and exports must equal the
 // unsharded single-worker oracle byte for byte.
 func TestMergeDeterminismProperty(t *testing.T) {
-	cfg := mergeCfg()
+	cfg := chaosCfg()
 	systems := chaosSystems()
 	want := RunGrid(systems, withWorkers(cfg, 1))
 	wantCSV, wantJSON, wantSVG := chaosExports(t, want)
@@ -87,7 +77,7 @@ func TestMergeDeterminismProperty(t *testing.T) {
 // a 4-way split of the same grid overlap heavily; the merge must accept
 // the agreement and still reproduce the oracle.
 func TestMergeToleratesOverlapAcrossShardCounts(t *testing.T) {
-	cfg := mergeCfg()
+	cfg := chaosCfg()
 	systems := chaosSystems()
 	want := RunGrid(systems, withWorkers(cfg, 1))
 	fingerprint := Fingerprint(systems, cfg)
@@ -113,7 +103,7 @@ func TestMergeToleratesOverlapAcrossShardCounts(t *testing.T) {
 // the same cell is a determinism violation and must refuse to merge,
 // never silently pick a side.
 func TestMergeRejectsConflictingRecords(t *testing.T) {
-	cfg := mergeCfg()
+	cfg := chaosCfg()
 	systems := chaosSystems()
 	fingerprint := Fingerprint(systems, cfg)
 	refs := EnumerateCellRefs(systems, cfg)
@@ -168,7 +158,7 @@ func TestMergeRejectsConflictingRecords(t *testing.T) {
 // TestMergeRejectsForeignFingerprint: a journal from a different grid
 // configuration must refuse to merge.
 func TestMergeRejectsForeignFingerprint(t *testing.T) {
-	cfg := mergeCfg()
+	cfg := chaosCfg()
 	systems := chaosSystems()
 	refs := EnumerateCellRefs(systems, cfg)
 	paths := runShardJournals(t, t.TempDir(), cfg, 1, []int{0}, 1)
@@ -183,7 +173,7 @@ func TestMergeRejectsForeignFingerprint(t *testing.T) {
 // Missing and as shard-failure records in the taxonomy, exactly where a
 // dead shard's cells land.
 func TestMergeReportsMissingCellsAsShardFailures(t *testing.T) {
-	cfg := mergeCfg()
+	cfg := chaosCfg()
 	systems := chaosSystems()
 	fingerprint := Fingerprint(systems, cfg)
 	refs := EnumerateCellRefs(systems, cfg)
@@ -239,7 +229,7 @@ func TestMergeReportsMissingCellsAsShardFailures(t *testing.T) {
 // surface in the merge result (per journal and in total), and the cells
 // stay covered when another journal holds them.
 func TestMergeCountsDamage(t *testing.T) {
-	cfg := mergeCfg()
+	cfg := chaosCfg()
 	systems := chaosSystems()
 	want := RunGrid(systems, withWorkers(cfg, 1))
 	fingerprint := Fingerprint(systems, cfg)
@@ -305,7 +295,7 @@ func TestMergeCountsDamage(t *testing.T) {
 // TestMergeRejectsEmptyAndAbsentJournals: empty input sets and
 // unreadable journals are configuration errors.
 func TestMergeRejectsEmptyAndAbsentJournals(t *testing.T) {
-	cfg := mergeCfg()
+	cfg := chaosCfg()
 	refs := EnumerateCellRefs(chaosSystems(), cfg)
 	if _, err := MergeJournals(nil, "x", refs); err == nil {
 		t.Error("empty journal set merged")

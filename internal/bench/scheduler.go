@@ -10,7 +10,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/openml"
 	"repro/internal/tabular"
-	"repro/internal/vclock"
 )
 
 // gridPos is one cell's place in the benchmark grid: the dataset and
@@ -172,76 +171,6 @@ func enumerateGrid(systems []automl.System, cfg Config, inj *faults.Injector, jo
 		return nil, stats, err
 	}
 	return cells, stats, nil
-}
-
-// fitOutcome carries one Fit attempt's result across the watchdog
-// boundary.
-type fitOutcome struct {
-	res *automl.Result
-	err error
-}
-
-// fitWithWatchdog runs one Fit attempt under the stall watchdog. The
-// attempt executes on its own goroutine while the watchdog samples the
-// cell's virtual clock through the concurrency-safe Probe mirror; an
-// attempt whose virtual clock fails to advance across wd.Probes
-// consecutive probe intervals has its abandon channel closed.
-// Abandonment is advisory and cooperative: the watchdog then waits for
-// the attempt to return and believes what it says. A parked hang — the
-// injected kind — acknowledges immediately with a typed stall error
-// and is recorded as stalled; a cell the probe timer merely caught
-// between two virtual-clock advances (scheduling jitter, a slow
-// machine, -race) runs to completion and its real result stands.
-// Whether a cell stalls is therefore a pure function of the injected
-// fault plan — never of real time — so records stay byte-identical at
-// every worker count and probe interval. The flip side is that a
-// trainer which neither finishes nor acknowledges would keep its
-// worker parked (Go cannot kill a goroutine); every in-repo trainer
-// terminates in bounded virtual time or parks on the abandon channel,
-// so the wait is bounded in practice. With the watchdog disabled this
-// is exactly safeFit.
-func fitWithWatchdog(sys automl.System, train tabular.View, opts automl.Options, wd WatchdogPolicy) (res *automl.Result, stalled bool, err error) {
-	if !wd.Enabled() {
-		res, err = safeFit(sys, train, opts)
-		return res, false, err
-	}
-	abandon := make(chan struct{})
-	opts.Abandon = abandon
-	clock := opts.Meter.Clock()
-	done := make(chan fitOutcome, 1)
-	go func() {
-		r, ferr := safeFit(sys, train, opts)
-		done <- fitOutcome{res: r, err: ferr}
-	}()
-	//greenlint:allow wallclock watchdog probe timer is operator-facing real time; stall decisions depend only on virtual progress
-	ticker := time.NewTicker(wd.Interval)
-	defer ticker.Stop()
-	stall := vclock.NewStallCounter(wd.Probes)
-	stall.Observe(int64(clock.Probe()))
-	for {
-		select {
-		case out := <-done:
-			return out.res, false, out.err
-		case <-ticker.C:
-			if !stall.Observe(int64(clock.Probe())) {
-				continue
-			}
-			// No virtual progress across wd.Probes intervals: the cell
-			// looks wedged. Close the abandon channel and wait for the
-			// attempt to unwind; receiving its outcome gives the caller a
-			// happens-before edge, so reading the shared meter afterwards
-			// is race-free. Only a typed stall acknowledgement — the
-			// parked hang unwinding — records a stall; a cell that was
-			// merely slow between clock advances returns its real result,
-			// which keeps stall records independent of real time.
-			close(abandon)
-			out := <-done
-			if faults.KindOf(out.err, faults.None) == faults.Stall {
-				return nil, true, nil
-			}
-			return out.res, false, out.err
-		}
-	}
 }
 
 // runCells executes the cells on a bounded pool of cfg.Workers workers

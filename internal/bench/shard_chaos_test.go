@@ -60,7 +60,7 @@ func TestShardHelperProcess(t *testing.T) {
 		}
 	}
 	workers, _ := strconv.Atoi(os.Getenv(shardHelperWorkersEnv))
-	cfg := withWorkers(mergeCfg(), workers)
+	cfg := withWorkers(chaosCfg(), workers)
 	cfg.Shard = shard
 	if _, err := RunShard(chaosSystems(), cfg, os.Getenv(shardHelperJournalEnv)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -120,7 +120,7 @@ func TestShardSubprocessSIGKILLResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
-	cfg := mergeCfg()
+	cfg := chaosCfg()
 	systems := chaosSystems()
 	want := RunGrid(systems, withWorkers(cfg, 1))
 	wantCSV, wantJSON, wantSVG := chaosExports(t, want)
@@ -210,7 +210,7 @@ func TestCoordinatorKillRestartMergeMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess fleets")
 	}
-	cfg := mergeCfg()
+	cfg := chaosCfg()
 	systems := chaosSystems()
 	want := RunGrid(systems, withWorkers(cfg, 1))
 	wantCSV, wantJSON, wantSVG := chaosExports(t, want)
@@ -286,7 +286,7 @@ func TestCoordinatorDeadlineReclaimsStraggler(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
-	cfg := mergeCfg()
+	cfg := chaosCfg()
 	systems := chaosSystems()
 	want := RunGrid(systems, withWorkers(cfg, 1))
 	fingerprint := Fingerprint(systems, cfg)
@@ -340,7 +340,7 @@ func TestCoordinatorDegradesExhaustedShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
-	cfg := mergeCfg()
+	cfg := chaosCfg()
 	systems := chaosSystems()
 	fingerprint := Fingerprint(systems, cfg)
 	refs := EnumerateCellRefs(systems, cfg)
@@ -429,6 +429,7 @@ func TestCoordinatorRejectsBadConfig(t *testing.T) {
 		{Shards: -2, Dir: dir, Command: cmdFn},
 		{Shards: 2, Dir: dir, Command: nil},
 		{Shards: 2, MaxRestarts: -1, Dir: dir, Command: cmdFn},
+		{Shards: 2, Deadline: WatchdogPolicy{Probes: 3}, Dir: dir, Command: cmdFn},
 	}
 	for i, cc := range cases {
 		if _, err := RunCoordinator(cc); err == nil {

@@ -18,9 +18,8 @@
 //     a site-keyed fraction of the budget has been burned (crashed
 //     trainers still consumed energy);
 //   - corrupt-model predictor faults that panic during prediction;
-//   - hang faults: Fit burns part of the budget, then parks forever
-//     without advancing the virtual clock — the stall signature the
-//     scheduler's liveness watchdog must detect and reclaim;
+//   - hang faults: Fit burns part of the budget and then stops making
+//     virtual progress, which it reports as a typed stall;
 //   - meter dropout: the energy sampler dies mid-run, losing readings
 //     while virtual time keeps advancing (CodeCarbon's sampler is a
 //     separate process in the paper's setup);
@@ -63,8 +62,8 @@ const (
 	// valid but the energy measurements are partial.
 	MeterDropout Kind = "meter-dropout"
 	// Stall is a cell whose virtual clock stopped advancing: the trainer
-	// wedged without failing, the scheduler's liveness watchdog abandoned
-	// it, and the budget it burned before stalling stays charged.
+	// wedged without failing, the cell degraded to the fallback without a
+	// retry, and the budget it burned before stalling stays charged.
 	Stall Kind = "stall"
 	// DatasetError is a dataset-generation failure.
 	DatasetError Kind = "dataset-error"
@@ -117,10 +116,8 @@ type Config struct {
 	Rate float64
 	// HangRate is the per-attempt probability in [0, 1] that a Fit hangs
 	// instead: it burns a site-keyed fraction of the budget and then stops
-	// advancing the virtual clock forever, parking until the harness's
-	// stall watchdog abandons the attempt. Hangs exist to exercise the
-	// watchdog deterministically; enabling them without a watchdog wedges
-	// the run exactly like a real hung trainer would.
+	// advancing the virtual clock, returning a typed Stall error in place
+	// of the result a hung trainer never delivers.
 	HangRate float64
 	// Seed seeds the injection stream. Decisions depend only on (Seed,
 	// site key), never on execution order.
@@ -178,10 +175,8 @@ type Plan struct {
 	FitError bool
 	// PredictError corrupts the returned predictor so it panics on use.
 	PredictError bool
-	// Hang makes Fit burn WasteFrac of the budget and then park forever
-	// without advancing the virtual clock — the stall signature the
-	// liveness watchdog detects. The parked Fit unblocks only when the
-	// harness closes the attempt's abandon channel.
+	// Hang makes Fit burn WasteFrac of the budget and then return a
+	// typed Stall error without advancing the virtual clock further.
 	Hang bool
 	// DropoutFrac > 0 arranges for the execution meter to lose energy
 	// readings after this fraction of the budget.
@@ -300,30 +295,19 @@ func (f *faultySystem) Fit(train tabular.View, opts automl.Options) (*automl.Res
 	if f.plan.DropoutFrac > 0 && opts.Meter != nil {
 		opts.Meter.DropoutAfter(time.Duration(f.plan.DropoutFrac * float64(opts.Budget)))
 	}
-	if f.plan.Hang {
-		if opts.Meter != nil {
-			if waste := time.Duration(f.plan.WasteFrac * float64(opts.Budget)); waste > 0 {
-				opts.Meter.Idle(energy.Execution, waste)
-			}
-		}
-		// Park without advancing the virtual clock — the watchdog's stall
-		// signature. A nil Abandon channel blocks forever, which is
-		// exactly what a hung trainer does to a harness with no watchdog.
-		<-opts.Abandon
-		return nil, &Error{
-			Kind: Stall,
-			Site: "fit/" + f.inner.Name(),
-			Err:  errors.New("injected hang abandoned by watchdog"),
-		}
-	}
-	if f.plan.FitPanic || f.plan.FitError {
+	if f.plan.Hang || f.plan.FitPanic || f.plan.FitError {
 		if opts.Meter != nil {
 			if waste := time.Duration(f.plan.WasteFrac * float64(opts.Budget)); waste > 0 {
 				opts.Meter.Idle(energy.Execution, waste)
 			}
 		}
 		site := "fit/" + f.inner.Name()
-		if f.plan.FitPanic {
+		switch {
+		case f.plan.Hang:
+			// The hung trainer would make no further virtual progress, so
+			// the stall is reported as soon as the waste is burned.
+			return nil, &Error{Kind: Stall, Site: site, Err: errors.New("injected hang")}
+		case f.plan.FitPanic:
 			panic(&Error{Kind: FitPanic, Site: site, Err: errors.New("injected trainer crash")})
 		}
 		return nil, &Error{Kind: FitError, Site: site, Err: errors.New("injected trainer failure")}

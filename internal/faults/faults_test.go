@@ -215,35 +215,15 @@ func TestHangPlanDeterministicAndIndependent(t *testing.T) {
 	}
 }
 
-// TestWrapHangParksUntilAbandoned pins the hang fault's contract: it
-// burns WasteFrac of the budget, stops advancing the virtual clock, and
-// unwinds with a typed stall error once the watchdog closes the abandon
-// channel — so an abandoned hang never leaks its goroutine.
-func TestWrapHangParksUntilAbandoned(t *testing.T) {
-	train := testTrain(t)
+// TestWrapHangReportsStall pins the hang fault's contract: it burns
+// WasteFrac of the budget, stops advancing the virtual clock, and
+// returns a typed stall error instead of a result.
+func TestWrapHangReportsStall(t *testing.T) {
 	meter := testMeter()
 	sys := Wrap(automl.NewTabPFN(), Plan{Hang: true, WasteFrac: 0.25})
-
-	abandon := make(chan struct{})
-	type outcome struct {
-		res *automl.Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := sys.Fit(train, automl.Options{Budget: 8 * time.Second, Meter: meter, Abandon: abandon})
-		done <- outcome{res, err}
-	}()
-
-	select {
-	case out := <-done:
-		t.Fatalf("hang returned before abandonment: %+v, %v", out.res, out.err)
-	default:
-	}
-	close(abandon)
-	out := <-done
-	if out.res != nil || KindOf(out.err, None) != Stall {
-		t.Fatalf("abandoned hang returned (%+v, %v), want typed stall", out.res, out.err)
+	res, err := sys.Fit(testTrain(t), automl.Options{Budget: 8 * time.Second, Meter: meter})
+	if res != nil || KindOf(err, None) != Stall {
+		t.Fatalf("hang returned (%+v, %v), want typed stall", res, err)
 	}
 	if got := meter.Clock().Now(); got != 2*time.Second {
 		t.Errorf("hang advanced clock by %s, want the 2s waste and nothing after", got)

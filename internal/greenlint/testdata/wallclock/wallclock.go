@@ -36,10 +36,10 @@ func timers() {
 	_ = time.AfterFunc(time.Hour, func() {}) // want "\\[wallclock\\] call to time\\.AfterFunc arms a wall-clock timer"
 }
 
-// watchdogTimer pins the one sanctioned timer idiom: the scheduler's
-// stall watchdog probes real time to notice cells whose VIRTUAL clock
-// stopped advancing. The annotation pattern below is the exact shape
-// internal/bench/scheduler.go uses; keep them in sync.
+// watchdogTimer pins the sanctioned timer idiom: the coordinator's
+// process deadline probes real time to notice shards whose journal
+// stopped growing. The annotation below has the shape the deadline
+// timer in internal/bench/coordinator.go uses; keep them in sync.
 func watchdogTimer(probe time.Duration) {
 	//greenlint:allow wallclock watchdog probe timer is operator-facing real time; stall decisions depend only on virtual progress
 	ticker := time.NewTicker(probe)

@@ -12,8 +12,8 @@ import (
 // real seconds the virtual clock never sees, and a time.After or
 // time.NewTicker smuggles real-time scheduling into code whose ordering
 // must be a pure function of virtual progress. Operator-facing sites —
-// progress lines on stderr, the scheduler's stall-watchdog probe timer
-// — are the only legitimate uses and must carry a //greenlint:allow
+// progress lines on stderr, the coordinator's process-deadline timer —
+// are the only legitimate uses and must carry a //greenlint:allow
 // naming why the site never influences a measured quantity.
 var Wallclock = &Analyzer{
 	Name: "wallclock",

@@ -82,7 +82,7 @@ func (k *KNN) PredictProba(x tabular.View) ([][]float64, Cost) {
 	if kk > n {
 		kk = n
 	}
-	out := make([][]float64, m) //greenlint:allow rowmajor proba output rows, class-wide not feature-wide
+	out := probaSlab(m, k.classes)
 	workers := make([]*knnWorker, Parallelism())
 	runRowBlocks(m, func(w, _, lo, hi int) {
 		ws := workers[w]
@@ -110,7 +110,7 @@ func (k *KNN) PredictProba(x tabular.View) ([][]float64, Cost) {
 				// ties between equal distances resolve exactly as the
 				// historical sort.Slice call resolved them.
 				sortKeys(cands)
-				votes := make([]float64, k.classes)
+				votes := out[i+s]
 				for _, c := range cands[:kk] {
 					w := 1.0
 					if k.Params.DistanceWeighted {
@@ -119,7 +119,6 @@ func (k *KNN) PredictProba(x tabular.View) ([][]float64, Cost) {
 					votes[k.y[c.idx]] += w
 				}
 				normalizeInPlace(votes)
-				out[i+s] = votes
 			}
 		}
 	})

@@ -366,6 +366,23 @@ func TestKNNMemorizesWithK1(t *testing.T) {
 	}
 }
 
+// TestKNNPredictAllocsFlat: the votes of every query land in one
+// output slab, so predicting 160 rows allocates no more often than
+// predicting 16.
+func TestKNNPredictAllocsFlat(t *testing.T) {
+	knn := NewKNN(KNNParams{K: 5})
+	knn.Fit(equivDataset(120, 6, 3, 41).All(), testRNG(42))
+	allocs := func(rows int) float64 {
+		x := equivDataset(rows, 6, 3, 43).All()
+		return testing.AllocsPerRun(20, func() { knn.PredictProba(x) })
+	}
+	withParallelism(t, 1, func() {
+		if few, many := allocs(16), allocs(160); few != many {
+			t.Errorf("KNN.PredictProba: %v allocs for 16 rows, %v for 160", few, many)
+		}
+	})
+}
+
 func TestKNNInferenceCostScalesWithTrainingSet(t *testing.T) {
 	small := separableBlob(50, 3, testRNG(35))
 	large := separableBlob(500, 3, testRNG(36))

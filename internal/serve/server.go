@@ -119,7 +119,7 @@ func (s *Server) armLocked() {
 			if s.timer != nil {
 				s.timer.Stop()
 			}
-			//greenlint:allow wallclock the batch-window timer is the one real-time trigger of the serving daemon, mirroring the watchdog's pinned pattern
+			//greenlint:allow wallclock the batch-window timer is the one real-time trigger of the serving daemon, mirroring the coordinator deadline's pinned pattern
 			s.timer = time.AfterFunc(delay, func() { s.onTimer(gen) })
 			return
 		}

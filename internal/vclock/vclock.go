@@ -13,7 +13,6 @@ package vclock
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -22,15 +21,8 @@ import (
 // Clock is not safe for concurrent use; each simulated run owns one clock.
 // Simulated parallelism is expressed through AdvanceParallel, which advances
 // the clock by the critical-path duration of a batch of parallel tasks.
-// The single concurrency exception is Probe, the liveness hook: it reads
-// an atomically mirrored position, so a watchdog on another goroutine can
-// observe whether the owning run is still making virtual progress without
-// racing the owner.
 type Clock struct {
 	now time.Duration
-	// pos mirrors now for Probe. Advance is the only writer; keeping the
-	// owner's fast path (Now) on the plain field costs probes nothing.
-	pos atomic.Int64
 }
 
 // New returns a clock starting at time zero.
@@ -39,18 +31,11 @@ func New() *Clock { return &Clock{} }
 // Now reports the current virtual time since the clock's origin.
 func (c *Clock) Now() time.Duration { return c.now }
 
-// Probe reports the clock's position like Now, but is safe to call from
-// a goroutine that does not own the clock. It exists for liveness
-// watchdogs: a run whose Probe value stops changing has stopped making
-// virtual progress, whatever its wall-clock behaviour.
-func (c *Clock) Probe() time.Duration { return time.Duration(c.pos.Load()) }
-
 // Advance moves the clock forward by d. Negative durations are ignored:
 // virtual time never runs backwards.
 func (c *Clock) Advance(d time.Duration) {
 	if d > 0 {
 		c.now += d
-		c.pos.Store(int64(c.now))
 	}
 }
 
@@ -103,13 +88,12 @@ func Makespan(durations []time.Duration, workers int) time.Duration {
 	return max
 }
 
-// StallCounter is the liveness rule shared by every watchdog in the
-// harness: a position observed unchanged across Threshold consecutive
-// probes means the observed party has stopped making progress. The
-// in-process cell watchdog feeds it virtual-clock probes; the shard
-// coordinator feeds it journal sizes — in both cases the probe cadence
-// is operator-facing real time, but the stall verdict depends only on
-// whether the monotone position advanced, never on how fast.
+// StallCounter is a liveness rule: a position observed unchanged across
+// Threshold consecutive probes means the observed party has stopped
+// making progress. The shard coordinator feeds it journal sizes; the
+// probe cadence is operator-facing real time, but the stall verdict
+// depends only on whether the monotone position advanced, never on how
+// fast.
 type StallCounter struct {
 	threshold int
 	last      int64
@@ -119,7 +103,7 @@ type StallCounter struct {
 
 // NewStallCounter returns a counter that reports a stall after
 // threshold consecutive probes without progress. A threshold below one
-// never reports a stall (a disabled watchdog).
+// never reports a stall (a disabled deadline).
 func NewStallCounter(threshold int) *StallCounter {
 	return &StallCounter{threshold: threshold}
 }

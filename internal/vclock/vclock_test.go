@@ -145,48 +145,3 @@ func TestMakespanAllNonPositiveDurations(t *testing.T) {
 		t.Errorf("makespan of no tasks = %v, want 0", got)
 	}
 }
-
-// TestProbeTracksAdvance pins the liveness hook: Probe mirrors Now
-// exactly after every advance, and a zero clock probes at zero.
-func TestProbeTracksAdvance(t *testing.T) {
-	c := New()
-	if c.Probe() != 0 {
-		t.Fatalf("fresh clock probes at %v", c.Probe())
-	}
-	c.Advance(3 * time.Second)
-	c.Advance(-time.Minute) // ignored; must not disturb the mirror
-	c.Advance(2 * time.Second)
-	if c.Probe() != c.Now() || c.Probe() != 5*time.Second {
-		t.Fatalf("Probe = %v, Now = %v, want both 5s", c.Probe(), c.Now())
-	}
-}
-
-// TestProbeConcurrent observes a clock from a second goroutine the way
-// the scheduler's stall watchdog does: probes never run backwards and
-// land on the final position once the owner is done. Run with -race.
-func TestProbeConcurrent(t *testing.T) {
-	c := New()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 1000; i++ {
-			c.Advance(time.Millisecond)
-		}
-	}()
-	var last time.Duration
-	for {
-		select {
-		case <-done:
-			if got := c.Probe(); got != time.Second {
-				t.Fatalf("final probe %v, want 1s", got)
-			}
-			return
-		default:
-			if p := c.Probe(); p < last {
-				t.Fatalf("probe ran backwards: %v after %v", p, last)
-			} else {
-				last = p
-			}
-		}
-	}
-}

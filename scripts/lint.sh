@@ -13,8 +13,7 @@
 # this script. Wall-clock timers are rejected by greenlint unless the
 # site carries "//greenlint:allow wallclock <reason>"; the only
 # sanctioned pattern is operator-facing liveness machinery whose verdict
-# never reaches a measured quantity, e.g. the cell watchdog's probe
-# ticker (internal/bench/scheduler.go), the coordinator's
+# never reaches a measured quantity, e.g. the coordinator's
 # process-deadline timer over shard journal growth
 # (internal/bench/coordinator.go), and the serving daemon's
 # batch-window timer (internal/serve/server.go) — the wall timer only
