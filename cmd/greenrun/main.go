@@ -344,7 +344,8 @@ func saveArtifact(o options, res *greenautoml.Result, train tabular.View, meter 
 	m, cost, err := artifact.Build(spec)
 	// Charge before the error check: a refit that failed partway still
 	// consumed its reported cost.
-	for _, w := range cost.Works(0) {
+	works, n := cost.Works(0)
+	for _, w := range works[:n] {
 		meter.Run(energy.Execution, w)
 	}
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -110,7 +111,7 @@ func TestRunSaveArtifactRoundTrip(t *testing.T) {
 		t.Fatalf("artifact dataset %q", a.Spec.Dataset)
 	}
 	eng := serve.NewEngine(serve.NewModel(a), hw.XeonGold6132(), serve.Config{})
-	resps := eng.Submit(serve.Request{ID: 1, Row: []float64{1.0, -1.0}, Arrival: 0})
+	resps := slices.Clone(eng.Submit(serve.Request{ID: 1, Row: []float64{1.0, -1.0}, Arrival: 0}))
 	resps = append(resps, eng.Drain(time.Second)...)
 	if len(resps) != 1 || resps[0].Outcome != serve.Served {
 		t.Fatalf("serving the saved artifact: %v", resps)

@@ -375,7 +375,8 @@ func (g *AutoGluon) Fit(train tabular.View, opts Options) (*Result, error) {
 func (g *AutoGluon) chargeBag(meter *energy.Meter, costs []ml.Cost, parallelFrac float64) (makespan, sequential time.Duration) {
 	gpu := meter.GPUMode() == energy.GPUActive
 	for _, c := range costs {
-		for _, w := range c.Works(0) {
+		units, n := c.Works(0)
+		for _, w := range units[:n] {
 			if gpu {
 				// The plan estimates on the device that will run the
 				// work: offloadable kernels are budgeted at GPU speed,
@@ -397,7 +398,8 @@ func (g *AutoGluon) chargeBag(meter *energy.Meter, costs []ml.Cost, parallelFrac
 	}
 	var works []hw.Work
 	for _, c := range costs {
-		works = append(works, c.Works(parallelFrac)...)
+		units, n := c.Works(parallelFrac)
+		works = append(works, units[:n]...)
 	}
 	return meter.RunParallel(energy.Execution, works), sequential
 }

@@ -136,7 +136,8 @@ func (r *Result) PredictProbaCost(x tabular.View, meter *energy.Meter) ([][]floa
 // chargeCost runs a model cost through the meter at the given stage.
 func chargeCost(meter *energy.Meter, stage energy.Stage, cost ml.Cost, parallelFrac float64) time.Duration {
 	var total time.Duration
-	for _, w := range cost.Works(parallelFrac) {
+	works, n := cost.Works(parallelFrac)
+	for _, w := range works[:n] {
 		total += meter.Run(stage, w)
 	}
 	return total
@@ -152,7 +153,8 @@ func chargeCostCapped(meter *energy.Meter, stage energy.Stage, cost ml.Cost, par
 		return 0, true
 	}
 	var total time.Duration
-	for _, w := range cost.Works(parallelFrac) {
+	works, n := cost.Works(parallelFrac)
+	for _, w := range works[:n] {
 		est := meter.Machine().Duration(w, meter.Cores())
 		if total+est > cap {
 			remaining := cap - total

@@ -190,7 +190,8 @@ func TestCAMLInferenceConstraint(t *testing.T) {
 	if p, ok := constrained.Predictor.(*pipeline.Pipeline); ok {
 		_, cost := p.PredictProba(test.Head(8))
 		var perInst time.Duration
-		for _, w := range cost.Works(0) {
+		works, n := cost.Works(0)
+		for _, w := range works[:n] {
 			perInst += machine.Duration(w, 1)
 		}
 		perInst /= 8

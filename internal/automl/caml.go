@@ -385,7 +385,8 @@ func (c *CAML) inferenceJoulesPerInstance(ev *evaluation, val tabular.View, mete
 	}
 	_, cost := ev.pipe.PredictProba(probe)
 	var joules float64
-	for _, w := range cost.Works(0) {
+	works, n := cost.Works(0)
+	for _, w := range works[:n] {
 		d := meter.Machine().Duration(w, 1)
 		joules += meter.Machine().Energy(d, 1, false, false)
 	}
@@ -405,7 +406,8 @@ func (c *CAML) satisfiesConstraint(ev *evaluation, val tabular.View, params CAML
 	// estimate), not the meter: the real CAML estimates inference time
 	// without billing the user for a full extra pass.
 	var perInstance time.Duration
-	for _, w := range cost.Works(0) {
+	works, n := cost.Works(0)
+	for _, w := range works[:n] {
 		perInstance += meter.Machine().Duration(w, 1)
 	}
 	perInstance = time.Duration(float64(perInstance) / math.Max(float64(probe.Rows()), 1))

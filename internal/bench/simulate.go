@@ -130,7 +130,8 @@ func SimulateEnsembles(systems []automl.System, cfg Config, rp *repo.Repository)
 				// Charge the simulation's entire compute — lookup, selection,
 				// blend, scoring — to the meter; nothing else runs, so the
 				// delta below is pure lookup+blend energy.
-				for _, w := range sim.Cost.Works(0) {
+				works, n := sim.Cost.Works(0)
+				for _, w := range works[:n] {
 					meter.Run(energy.Execution, w)
 				}
 				kwh := meter.Tracker().KWh(energy.Execution) - before

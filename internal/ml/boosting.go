@@ -135,9 +135,7 @@ func (b *BoostingClassifier) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) 
 			// carries non-integer split costs, so deferring the integer
 			// visit terms would regroup the float sum.
 			b.trees = append(b.trees, tree)
-			visits := walkRows(b.trees[len(b.trees)-1:], ds, func(_, i int, leaf *treeNode) {
-				logits[i][k] += p.LearningRate * leaf.value
-			})
+			visits := walkRows(b.trees[len(b.trees)-1:], ds, classLogits{logits: logits, lr: p.LearningRate, class: k})
 			cost.Add(Cost{Tree: 2 * visits})
 		}
 	}
@@ -153,15 +151,32 @@ func (b *BoostingClassifier) PredictProba(x tabular.View) ([][]float64, Cost) {
 		return uniformProba(m, max(b.classes, 2)), Cost{}
 	}
 	out := probaSlab(m, b.classes)
-	lr, classes := b.Params.LearningRate, b.classes
-	visits := walkRows(b.trees, x, func(t, i int, leaf *treeNode) {
-		out[i][t%classes] += lr * leaf.value
-	})
+	visits := walkRows(b.trees, x, roundLogits{logits: out, lr: b.Params.LearningRate, classes: b.classes})
 	for _, row := range out {
 		softmaxInPlace(row)
 	}
 	return out, Cost{Generic: float64(m * b.classes * 2), Tree: 2 * visits}
 }
+
+// classLogits is boosting's fit-time adder: one new tree's shrunken leaf
+// values go into one class column of the training logits.
+type classLogits struct {
+	logits [][]float64
+	lr     float64
+	class  int
+}
+
+func (o classLogits) add(_, i int, leaf *treeNode) { o.logits[i][o.class] += o.lr * leaf.value }
+
+// roundLogits is boosting's predict adder: tree t of the round-major
+// tree list adds its shrunken leaf value into class t%classes.
+type roundLogits struct {
+	logits  [][]float64
+	lr      float64
+	classes int
+}
+
+func (o roundLogits) add(t, i int, leaf *treeNode) { o.logits[i][t%o.classes] += o.lr * leaf.value }
 
 // Clone implements Classifier.
 func (b *BoostingClassifier) Clone() Classifier { return NewBoostingClassifier(b.Params) }

@@ -112,12 +112,7 @@ func (f *ForestClassifier) PredictProba(x tabular.View) ([][]float64, Cost) {
 		return uniformProba(n, max(f.classes, 2)), Cost{}
 	}
 	out := probaSlab(n, f.classes)
-	visits := walkRows(f.trees, x, func(_, i int, leaf *treeNode) {
-		row := out[i]
-		for j, p := range leaf.proba {
-			row[j] += p
-		}
-	})
+	visits := walkRows(f.trees, x, probaSums(out))
 	inv := 1 / float64(len(f.trees))
 	for _, row := range out {
 		for j := range row {
@@ -125,6 +120,17 @@ func (f *ForestClassifier) PredictProba(x tabular.View) ([][]float64, Cost) {
 		}
 	}
 	return out, Cost{Generic: float64(n * f.classes * len(f.trees)), Tree: 2 * visits}
+}
+
+// probaSums is the forest classifier's adder: it sums each tree's leaf
+// distribution into row i.
+type probaSums [][]float64
+
+func (o probaSums) add(_, i int, leaf *treeNode) {
+	row := o[i]
+	for j, p := range leaf.proba {
+		row[j] += p
+	}
 }
 
 // Clone implements Classifier.
@@ -233,11 +239,7 @@ func (f *ForestRegressor) PredictWithStd(x tabular.View) (mean, std []float64, c
 	if len(f.trees) == 0 {
 		return mean, std, cost
 	}
-	visits := walkRows(f.trees, x, func(_, i int, leaf *treeNode) {
-		v := leaf.value
-		mean[i] += v
-		std[i] += v * v
-	})
+	visits := walkRows(f.trees, x, valueMoments{sum: mean, sumSq: std})
 	n := float64(len(f.trees))
 	for i, sum := range mean {
 		m := sum / n
@@ -248,4 +250,14 @@ func (f *ForestRegressor) PredictWithStd(x tabular.View) (mean, std []float64, c
 		}
 	}
 	return mean, std, Cost{Generic: float64(x.Rows()) * n, Tree: 2 * visits}
+}
+
+// valueMoments is the forest regressor's adder: it sums each tree's leaf
+// value and its square into row i.
+type valueMoments struct{ sum, sumSq []float64 }
+
+func (o valueMoments) add(_, i int, leaf *treeNode) {
+	v := leaf.value
+	o.sum[i] += v
+	o.sumSq[i] += v * v
 }

@@ -252,3 +252,42 @@ func TestEnsemblePredictAllocsFlat(t *testing.T) {
 		}
 	})
 }
+
+// TestEnsemblePredictAllocsOutputOnly pins the sequential walk's
+// allocations to the outputs alone: at parallelism 1, predicting a
+// serving-sized batch builds no closure and no per-block slots, so each
+// ensemble predict allocates exactly its two output slices (the proba
+// slab and its row headers, or the mean and std vectors).
+func TestEnsemblePredictAllocsOutputOnly(t *testing.T) {
+	train := equivDataset(200, 9, 3, 17).All()
+	y := make([]float64, train.Rows())
+	for i := range y {
+		y[i] = train.At(i, 1)
+	}
+	f := NewForestClassifier(ForestParams{Trees: 8, Tree: TreeParams{MaxDepth: 5}})
+	if _, err := f.Fit(train, testRNG(1)); err != nil {
+		t.Fatal(err)
+	}
+	r := NewForestRegressor(ForestParams{Trees: 8, Tree: TreeParams{MaxDepth: 5}})
+	if _, err := r.FitReg(train, y, testRNG(2)); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBoostingClassifier(BoostingParams{Rounds: 8, Tree: TreeParams{MaxDepth: 3}})
+	if _, err := b.Fit(train, testRNG(3)); err != nil {
+		t.Fatal(err)
+	}
+	withParallelism(t, 1, func() {
+		for _, rows := range []int{1, 32, kernelBlock + 1} {
+			x := equivDataset(rows, 9, 3, 18).All()
+			for name, predict := range map[string]func(){
+				"ForestClassifier.PredictProba":   func() { f.PredictProba(x) },
+				"ForestRegressor.PredictWithStd":  func() { r.PredictWithStd(x) },
+				"BoostingClassifier.PredictProba": func() { b.PredictProba(x) },
+			} {
+				if got := testing.AllocsPerRun(20, predict); got != 2 {
+					t.Errorf("%s on %d rows: %v allocs, want 2 (the outputs)", name, rows, got)
+				}
+			}
+		}
+	})
+}

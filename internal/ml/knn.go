@@ -78,52 +78,61 @@ func (k *KNN) PredictProba(x tabular.View) ([][]float64, Cost) {
 	}
 	n := len(k.y)
 	d := len(k.cols)
-	kk := k.Params.K
-	if kk > n {
-		kk = n
-	}
 	out := probaSlab(m, k.classes)
-	workers := make([]*knnWorker, Parallelism())
-	runRowBlocks(m, func(w, _, lo, hi int) {
-		ws := workers[w]
-		if ws == nil {
-			ws = &knnWorker{
-				dist:  make([]float64, knnQBlock*n),
-				q:     make([]float64, knnQBlock),
-				cands: make([]sortKey, n),
+	if !parallelBlocks(m) {
+		// One goroutine answers every query: no closure to build.
+		k.voteRows(x, newKNNWorker(n), out, 0, m)
+	} else {
+		workers := make([]*knnWorker, Parallelism())
+		runRowBlocks(m, func(w, _, lo, hi int) {
+			if workers[w] == nil {
+				workers[w] = newKNNWorker(n)
 			}
-			workers[w] = ws
-		}
-		for i := lo; i < hi; i += knnQBlock {
-			qn := hi - i
-			if qn > knnQBlock {
-				qn = knnQBlock
-			}
-			k.scanQueries(x, ws, i, qn, n, d)
-			for s := 0; s < qn; s++ {
-				dist := ws.dist[s*n : s*n+n]
-				cands := ws.cands
-				for t := range cands {
-					cands[t] = sortKey{key: dist[t], idx: int32(t)}
-				}
-				// sortKeys leaves the permutation sort.Sort leaves, so
-				// ties between equal distances resolve exactly as the
-				// historical sort.Slice call resolved them.
-				sortKeys(cands)
-				votes := out[i+s]
-				for _, c := range cands[:kk] {
-					w := 1.0
-					if k.Params.DistanceWeighted {
-						w = 1 / (1e-9 + c.key)
-					}
-					votes[k.y[c.idx]] += w
-				}
-				normalizeInPlace(votes)
-			}
-		}
-	})
+			k.voteRows(x, workers[w], out, lo, hi)
+		})
+	}
 	scanCost := float64(m) * float64(n) * (3*float64(d) + 15)
 	return out, Cost{Generic: scanCost}
+}
+
+func newKNNWorker(n int) *knnWorker {
+	return &knnWorker{
+		dist:  make([]float64, knnQBlock*n),
+		q:     make([]float64, knnQBlock),
+		cands: make([]sortKey, n),
+	}
+}
+
+// voteRows answers queries [lo, hi) into their out rows, knnQBlock
+// queries per distance scan. Each query's votes depend on its own row
+// only, so any split of the queries gives the same bits.
+func (k *KNN) voteRows(x tabular.View, ws *knnWorker, out [][]float64, lo, hi int) {
+	n := len(k.y)
+	kk := min(k.Params.K, n)
+	for i := lo; i < hi; i += knnQBlock {
+		qn := min(hi-i, knnQBlock)
+		k.scanQueries(x, ws, i, qn, n, len(k.cols))
+		for s := 0; s < qn; s++ {
+			dist := ws.dist[s*n : s*n+n]
+			cands := ws.cands
+			for t := range cands {
+				cands[t] = sortKey{key: dist[t], idx: int32(t)}
+			}
+			// sortKeys leaves the permutation sort.Sort leaves, so
+			// ties between equal distances resolve exactly as the
+			// historical sort.Slice call resolved them.
+			sortKeys(cands)
+			votes := out[i+s]
+			for _, c := range cands[:kk] {
+				w := 1.0
+				if k.Params.DistanceWeighted {
+					w = 1 / (1e-9 + c.key)
+				}
+				votes[k.y[c.idx]] += w
+			}
+			normalizeInPlace(votes)
+		}
+	}
 }
 
 // scanQueries accumulates squared distances from queries [i, i+qn) to

@@ -52,19 +52,23 @@ func (c Cost) Scale(f float64) Cost {
 }
 
 // Works converts the cost to hardware work units with the given Amdahl
-// parallel fraction applied to each bucket.
-func (c Cost) Works(parallelFrac float64) []hw.Work {
-	var works []hw.Work
-	if c.Generic > 0 {
-		works = append(works, hw.Work{FLOPs: c.Generic, Kind: hw.KindGeneric, ParallelFrac: parallelFrac})
+// parallel fraction applied to each bucket: one unit per nonzero bucket,
+// in Generic → Tree → Matrix order, in works[:n]. The order is part of
+// the contract, since a meter's float accumulation follows it. The units
+// come back in an array so that converting a cost never allocates.
+func (c Cost) Works(parallelFrac float64) (works [3]hw.Work, n int) {
+	for _, w := range [3]hw.Work{
+		{FLOPs: c.Generic, Kind: hw.KindGeneric},
+		{FLOPs: c.Tree, Kind: hw.KindTree},
+		{FLOPs: c.Matrix, Kind: hw.KindMatrix},
+	} {
+		if w.FLOPs > 0 {
+			w.ParallelFrac = parallelFrac
+			works[n] = w
+			n++
+		}
 	}
-	if c.Tree > 0 {
-		works = append(works, hw.Work{FLOPs: c.Tree, Kind: hw.KindTree, ParallelFrac: parallelFrac})
-	}
-	if c.Matrix > 0 {
-		works = append(works, hw.Work{FLOPs: c.Matrix, Kind: hw.KindMatrix, ParallelFrac: parallelFrac})
-	}
-	return works
+	return works, n
 }
 
 // Classifier is a trainable multi-class probabilistic classifier.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/tabular"
 )
@@ -237,17 +238,35 @@ func TestCostArithmetic(t *testing.T) {
 	if s.Generic != 22 || s.Tree != 44 || s.Matrix != 66 {
 		t.Errorf("scale %+v", s)
 	}
-	works := c.Works(0.5)
-	if len(works) != 3 {
-		t.Fatalf("works %v", works)
+	works, n := c.Works(0.5)
+	if n != 3 {
+		t.Fatalf("works %v", works[:n])
 	}
-	for _, w := range works {
+	for _, w := range works[:n] {
 		if w.ParallelFrac != 0.5 {
 			t.Errorf("parallel fraction %v", w.ParallelFrac)
 		}
 	}
-	if got := (Cost{}).Works(1); got != nil {
-		t.Errorf("zero cost produced works %v", got)
+	if _, n := (Cost{}).Works(1); n != 0 {
+		t.Errorf("zero cost produced %d works", n)
+	}
+}
+
+// TestCostWorksOrderAndAllocs checks Works skips empty buckets, keeps
+// the Generic → Tree → Matrix order a meter's float sums depend on, and
+// never allocates.
+func TestCostWorksOrderAndAllocs(t *testing.T) {
+	c := Cost{Generic: 1, Matrix: 3}
+	works, n := c.Works(0.25)
+	want := []hw.Work{
+		{FLOPs: 1, Kind: hw.KindGeneric, ParallelFrac: 0.25},
+		{FLOPs: 3, Kind: hw.KindMatrix, ParallelFrac: 0.25},
+	}
+	if n != len(want) || works[0] != want[0] || works[1] != want[1] {
+		t.Errorf("works %v, want %v", works[:n], want)
+	}
+	if got := testing.AllocsPerRun(100, func() { works, n = c.Works(0) }); got != 0 {
+		t.Errorf("Works allocates %v times", got)
 	}
 }
 

@@ -135,6 +135,22 @@ func rowBlockCount(n int) int {
 	return (n + kernelBlock - 1) / kernelBlock
 }
 
+// blockRows reports the row range [lo, hi) of block b of an n-row grid.
+func blockRows(b, n int) (lo, hi int) {
+	lo = b * kernelBlock
+	return lo, min(lo+kernelBlock, n)
+}
+
+// parallelBlocks reports whether runRowBlocks would spread n rows over
+// more than one goroutine. When it would not, a kernel can loop over the
+// blocks itself and skip building the closure runRowBlocks takes: fn
+// escapes to the worker goroutines, so every closure handed to it, and
+// every func value that closure captures, is heap-allocated even when
+// runIndexed ends up running on the calling goroutine.
+func parallelBlocks(n int) bool {
+	return min(Parallelism(), rowBlockCount(n)) > 1
+}
+
 // runRowBlocks partitions [0, n) into kernelBlock-wide row blocks and
 // executes fn(worker, block, lo, hi) over them via runIndexed. Because
 // the block grid depends only on n, per-block partials (visit counts,
@@ -143,13 +159,8 @@ func runRowBlocks(n int, fn func(worker, block, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	blocks := (n + kernelBlock - 1) / kernelBlock
-	runIndexed(blocks, func(worker, b int) {
-		lo := b * kernelBlock
-		hi := lo + kernelBlock
-		if hi > n {
-			hi = n
-		}
+	runIndexed(rowBlockCount(n), func(worker, b int) {
+		lo, hi := blockRows(b, n)
 		fn(worker, b, lo, hi)
 	})
 }

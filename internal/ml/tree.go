@@ -646,24 +646,39 @@ type leafTree interface{ leafCore() *treeCore }
 func (t *TreeClassifier) leafCore() *treeCore { return &t.core }
 func (t *TreeRegressor) leafCore() *treeCore  { return &t.core }
 
+// leafAdder accumulates the leaf that view row i reaches in trees[t]
+// straight into the caller's output, writing only row i's slots. The
+// adders are small value types over heap-owned outputs rather than
+// closures: walkRows runs them without a closure at parallelism 1, so a
+// predict allocates nothing beyond its output.
+type leafAdder interface {
+	add(t, i int, leaf *treeNode)
+}
+
 // walkRows is the one predict walk of every tree model — single trees,
 // both forests, and gradient boosting at predict and at fit. It hands
-// the leaf that view row i reaches in trees[t] to add(t, i, leaf), which
-// accumulates it straight into the caller's output and may write only
-// row i's slots. Row blocks run in parallel under the package
-// Parallelism knob; inside a block walkBlock visits the trees in slice
-// order, so every output element receives its per-tree terms in tree
-// order — the same += sequence as a loop of per-tree predictions, with
-// one output instead of one per tree. It returns the total node visits,
-// reduced from block-indexed slots in block order: visit counts are
-// integer-valued floats, so any grouping of them sums exactly.
-func walkRows[T leafTree](trees []T, x tabular.View, add func(t, i int, leaf *treeNode)) float64 {
+// the leaf that view row i reaches in trees[t] to add.add(t, i, leaf).
+// Row blocks run in parallel under the package Parallelism knob; inside
+// a block walkBlock visits the trees in slice order, so every output
+// element receives its per-tree terms in tree order — the same +=
+// sequence as a loop of per-tree predictions, with one output instead
+// of one per tree. It returns the total node visits, summed over the
+// blocks in block order: visit counts are integer-valued floats, so any
+// grouping of them sums exactly.
+func walkRows[T leafTree, A leafAdder](trees []T, x tabular.View, add A) float64 {
 	n := x.Rows()
+	var visits float64
+	if !parallelBlocks(n) {
+		for b := range rowBlockCount(n) {
+			lo, hi := blockRows(b, n)
+			visits += walkBlock(trees, x, lo, hi, add)
+		}
+		return visits
+	}
 	blockVisits := make([]float64, rowBlockCount(n))
 	runRowBlocks(n, func(_, b, lo, hi int) {
 		blockVisits[b] = walkBlock(trees, x, lo, hi, add)
 	})
-	var visits float64
 	for _, v := range blockVisits {
 		visits += v
 	}
@@ -674,18 +689,29 @@ func walkRows[T leafTree](trees []T, x tabular.View, add func(t, i int, leaf *tr
 // slice order, and returns the block's node visits.
 //
 //greenlint:hotpath per-block tree walk under every ensemble predict; add writes caller-owned output
-func walkBlock[T leafTree](trees []T, x tabular.View, lo, hi int, add func(t, i int, leaf *treeNode)) float64 {
+func walkBlock[T leafTree, A leafAdder](trees []T, x tabular.View, lo, hi int, add A) float64 {
 	var visits float64
 	for t, tree := range trees {
 		tc := tree.leafCore()
 		for i := lo; i < hi; i++ {
 			leaf, v := tc.traverse(x, i)
 			visits += v
-			add(t, i, leaf)
+			add.add(t, i, leaf)
 		}
 	}
 	return visits
 }
+
+// leafProbas is a single classification tree's adder: row i's answer is
+// its leaf's own distribution, shared read-only with the fitted tree.
+type leafProbas [][]float64
+
+func (o leafProbas) add(_, i int, leaf *treeNode) { o[i] = leaf.proba }
+
+// leafValues is a single regression tree's adder.
+type leafValues []float64
+
+func (o leafValues) add(_, i int, leaf *treeNode) { o[i] = leaf.value }
 
 // NodeCount reports the number of nodes in the fitted tree.
 func (tc *treeCore) NodeCount() int { return len(tc.nodes) }
@@ -720,9 +746,7 @@ func (t *TreeClassifier) PredictProba(x tabular.View) ([][]float64, Cost) {
 		return uniformProba(n, max(t.core.classes, 2)), Cost{}
 	}
 	out := make([][]float64, n) //greenlint:allow rowmajor proba output rows, class-wide not feature-wide
-	visits := walkRows([]*TreeClassifier{t}, x, func(_, i int, leaf *treeNode) {
-		out[i] = leaf.proba
-	})
+	visits := walkRows([]*TreeClassifier{t}, x, leafProbas(out))
 	return out, Cost{Tree: 2 * visits}
 }
 
@@ -776,9 +800,7 @@ func (t *TreeRegressor) PredictReg(x tabular.View) ([]float64, Cost) {
 	if !t.fitted {
 		return out, Cost{}
 	}
-	visits := walkRows([]*TreeRegressor{t}, x, func(_, i int, leaf *treeNode) {
-		out[i] = leaf.value
-	})
+	visits := walkRows([]*TreeRegressor{t}, x, leafValues(out))
 	return out, Cost{Tree: 2 * visits}
 }
 

@@ -12,6 +12,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -105,7 +106,7 @@ func TestChaosRealArtifactEndToEnd(t *testing.T) {
 	// engine epoch serving it still answers.
 	e2 := testEngine(t, nil, Config{BatchWindow: time.Millisecond, BatchMax: 16, QueueCap: 64})
 	e2.Swap(NewModel(loaded))
-	resps := e2.Submit(Request{ID: 9000, Row: loaded.Spec.Train.All().Row(0, nil), Arrival: 0})
+	resps := slices.Clone(e2.Submit(Request{ID: 9000, Row: loaded.Spec.Train.All().Row(0, nil), Arrival: 0}))
 	resps = append(resps, e2.Drain(time.Second)...)
 	if len(resps) != 1 || resps[0].Outcome != Served {
 		t.Fatalf("old model stopped serving after refused reload: %v", resps)

@@ -129,6 +129,11 @@ const admissionFLOPs = 4096
 // safe for concurrent use — Server provides the locked wall-time
 // wrapper — and time only moves when the driver calls Submit, AdvanceTo
 // or Drain with monotonically non-decreasing instants.
+//
+// The serving loop reuses its buffers from request to request: the
+// responses those three calls return, the batch being flushed and the
+// columnar frame its features are gathered into. See Submit for what
+// that means for callers.
 type Engine struct {
 	cfg     Config
 	machine *hw.Machine
@@ -144,6 +149,16 @@ type Engine struct {
 	flushAt   time.Duration
 	queue     []Request
 	draining  bool
+
+	// out is the result buffer of Submit, AdvanceTo and Drain: every
+	// resolution appends to it, and each of those calls starts it over.
+	out []Response
+	// alive is the flushing batch's requests that reach predict.
+	alive []Request
+	// frame is the flushing batch's features: column j is
+	// slab[j*BatchMax:][:len(alive)].
+	frame tabular.Frame
+	slab  []float64
 
 	batches int
 	trips   int // accumulated across swapped-out breakers
@@ -208,23 +223,37 @@ func (e *Engine) Stats() Stats {
 // or refuses it. The returned responses are every request resolved by
 // this call — batches that became due, plus this request if it was
 // refused or short-circuited; admitted requests resolve in a later call.
+//
+// The returned slice is the engine's own result buffer, valid only until
+// the next Submit, AdvanceTo or Drain, which overwrite it (the contract
+// of bufio.Scanner.Bytes). A caller that keeps responses across calls
+// copies them out, e.g. with slices.Clone or by appending them to its
+// own slice. A Response's Proba is not part of the buffer and stays
+// valid after later calls; it is still read-only.
 func (e *Engine) Submit(req Request) []Response {
-	out := e.AdvanceTo(req.Arrival)
+	e.out = e.out[:0]
+	e.submit(req)
+	return e.out
+}
+
+// submit is Submit's body; its resolutions append to the result buffer.
+func (e *Engine) submit(req Request) {
+	e.advance(req.Arrival)
 
 	switch {
 	case e.draining:
-		out = append(out, e.resolveCheap(req, Shed, "draining"))
-		return out
+		e.resolveCheap(req, Shed, "draining")
+		return
 	case len(e.queue) >= e.cfg.QueueCap:
-		out = append(out, e.resolveCheap(req, Shed, "queue full"))
-		return out
+		e.resolveCheap(req, Shed, "queue full")
+		return
 	case e.breaker.State(e.now) == BreakerOpen:
-		out = append(out, e.fallback(req, e.now))
-		return out
+		e.fallback(req, e.now)
+		return
 	}
 	if req.Deadline > 0 && req.Deadline < e.estimateDone(len(e.queue)+1) {
-		out = append(out, e.resolveCheap(req, Shed, "deadline cannot survive the batch window"))
-		return out
+		e.resolveCheap(req, Shed, "deadline cannot survive the batch window")
+		return
 	}
 
 	e.queue = append(e.queue, req)
@@ -234,41 +263,50 @@ func (e *Engine) Submit(req Request) []Response {
 	if len(e.queue) >= e.cfg.BatchMax {
 		// A full batch does not wait out the window.
 		e.flushAt = e.now
-		out = append(out, e.AdvanceTo(e.now)...)
+		e.advance(e.now)
 	}
-	return out
 }
 
 // AdvanceTo moves virtual time forward to t, flushing every batch that
-// becomes due on the way, and returns the resolutions in order.
+// becomes due on the way, and returns the resolutions in order. The
+// slice is the engine's result buffer, valid until the next call on the
+// engine (see Submit).
 func (e *Engine) AdvanceTo(t time.Duration) []Response {
-	var out []Response
+	e.out = e.out[:0]
+	e.advance(t)
+	return e.out
+}
+
+// advance is AdvanceTo without starting the result buffer over: the
+// resolutions append to what the current call has already collected.
+func (e *Engine) advance(t time.Duration) {
 	for len(e.queue) > 0 {
 		ft := max(e.flushAt, e.busyUntil)
 		if ft > t {
 			break
 		}
-		out = append(out, e.flush(ft)...)
+		e.flush(ft)
 	}
 	if t > e.now {
 		e.now = t
 	}
-	return out
 }
 
 // Drain stops admission at instant t and flushes everything still
 // queued, ignoring batch windows: the graceful-shutdown path. The
-// journal, if any, is flushed afterwards.
+// journal, if any, is flushed afterwards. The slice is the engine's
+// result buffer, valid until the next call on the engine (see Submit).
 func (e *Engine) Drain(t time.Duration) []Response {
-	out := e.AdvanceTo(t)
+	e.out = e.out[:0]
+	e.advance(t)
 	e.draining = true
 	for len(e.queue) > 0 {
-		out = append(out, e.flush(max(e.now, e.busyUntil))...)
+		e.flush(max(e.now, e.busyUntil))
 	}
 	if e.journal != nil {
 		e.journal.Flush()
 	}
-	return out
+	return e.out
 }
 
 // nextEventAt reports the instant the next queued batch becomes due;
@@ -294,54 +332,50 @@ func (e *Engine) estimateDone(batchRows int) time.Duration {
 }
 
 // flush runs one batch at instant ft and resolves its requests.
-func (e *Engine) flush(ft time.Duration) []Response {
+func (e *Engine) flush(ft time.Duration) {
 	e.now = ft
 	n := min(len(e.queue), e.cfg.BatchMax)
-	batch := e.queue[:n:n]
-	e.queue = append([]Request(nil), e.queue[n:]...)
-	if len(e.queue) > 0 {
-		// The next batch starts as soon as the server frees up; it has
-		// already waited its window.
-		e.flushAt = ft
-	}
-
-	var out []Response
-	alive := make([]Request, 0, len(batch))
-	for _, r := range batch {
+	e.alive = e.alive[:0]
+	for _, r := range e.queue[:n] {
 		switch {
 		case r.Deadline > 0 && r.Deadline < ft:
 			// The deadline passed while queued: abandon before
 			// spending predict work.
-			out = append(out, e.resolveCheap(r, Expired, "deadline passed in queue"))
+			e.resolveCheap(r, Expired, "deadline passed in queue")
 		case len(r.Row) != e.model.Features:
 			// Checked at flush, against the model that will predict
 			// (a reload may have swapped it since admission). The
 			// request's own fault: no predict, no breaker failure.
 			msg := fmt.Sprintf("row has %d features, model %q takes %d", len(r.Row), e.model.Name, e.model.Features)
-			out = append(out, e.resolveCheap(r, Failed, msg))
+			e.resolveCheap(r, Failed, msg)
 		default:
-			alive = append(alive, r)
+			e.alive = append(e.alive, r)
 		}
 	}
-	if len(alive) == 0 {
-		return out
+	// Shift the rest of the queue down in place, and clear the vacated
+	// tail so it does not keep the flushed requests' rows reachable.
+	rest := copy(e.queue, e.queue[n:])
+	clear(e.queue[rest:])
+	e.queue = e.queue[:rest]
+	if len(e.queue) > 0 {
+		// The next batch starts as soon as the server frees up; it has
+		// already waited its window.
+		e.flushAt = ft
+	}
+	if len(e.alive) == 0 {
+		return
 	}
 
 	if e.breaker.State(ft) == BreakerOpen {
 		// Tripped while these requests queued: the fallback tier
 		// answers them.
-		for _, r := range alive {
-			out = append(out, e.fallback(r, ft))
+		for _, r := range e.alive {
+			e.fallback(r, ft)
 		}
-		return out
+		return
 	}
 
-	model := e.model
-	rows := make([][]float64, len(alive))
-	for i, r := range alive {
-		rows[i] = r.Row
-	}
-	proba, cost, err := e.predict(model, tabular.FromRows(rows))
+	proba, cost, err := e.predict(e.model, e.gather())
 	e.batches++
 
 	var d time.Duration
@@ -349,7 +383,7 @@ func (e *Engine) flush(ft time.Duration) []Response {
 		// A panic usually destroys the cost report (the zero Cost);
 		// the work still happened, so charge whichever is larger: the
 		// partial report or the model's estimated spend for the batch.
-		d = max(e.costDuration(cost), time.Duration(len(alive))*e.perRowDur)
+		d = max(e.costDuration(cost), time.Duration(len(e.alive))*e.perRowDur)
 	} else {
 		d = e.costDuration(cost)
 	}
@@ -362,35 +396,56 @@ func (e *Engine) flush(ft time.Duration) []Response {
 	done := ft + d
 	e.busyUntil = done
 	joules := e.machine.Energy(d, e.cfg.Cores, false, false)
-	share := joules / float64(len(alive))
+	share := joules / float64(len(e.alive))
 	e.tracker.AddBusy(energy.Inference, d)
 
 	switch {
 	case err != nil:
 		e.breaker.Fail(done)
-		for _, r := range alive {
-			out = append(out, e.resolve(r, Failed, err.Error(), share, -1, nil, done))
+		msg := err.Error()
+		for _, r := range e.alive {
+			e.resolve(r, Failed, msg, share, -1, nil, done)
 		}
 	case timedOut:
 		e.breaker.Fail(done)
 		msg := fmt.Sprintf("predict exceeded the %v timeout", e.cfg.PredictTimeout)
-		for _, r := range alive {
-			out = append(out, e.resolve(r, Failed, msg, share, -1, nil, done))
+		for _, r := range e.alive {
+			e.resolve(r, Failed, msg, share, -1, nil, done)
 		}
 	default:
 		e.breaker.OK(done)
-		for i, r := range alive {
+		for i, r := range e.alive {
 			if r.Deadline > 0 && r.Deadline < done {
 				// The work was spent; the answer arrived too late
 				// to be worth anything. Still charged.
-				out = append(out, e.resolve(r, Expired, "deadline passed during predict", share, -1, nil, done))
+				e.resolve(r, Expired, "deadline passed during predict", share, -1, nil, done)
 				continue
 			}
 			p := proba[i]
-			out = append(out, e.resolve(r, Served, "", share, metrics.Argmax(p), p, done))
+			e.resolve(r, Served, "", share, metrics.Argmax(p), p, done)
 		}
 	}
-	return out
+}
+
+// gather copies the alive rows' features into the engine's reusable
+// columnar frame and returns its view. The slab holds BatchMax rows of
+// every feature, so it is only reallocated when a swapped-in model
+// changes the feature count.
+func (e *Engine) gather() tabular.View {
+	stride := e.cfg.BatchMax
+	if len(e.frame.Cols) != e.model.Features {
+		e.slab = make([]float64, e.model.Features*stride)
+		e.frame.Cols = make([][]float64, e.model.Features)
+	}
+	rows := len(e.alive)
+	for j := range e.frame.Cols {
+		col := e.slab[j*stride : j*stride+rows : j*stride+rows]
+		for i, r := range e.alive {
+			col[i] = r.Row[j]
+		}
+		e.frame.Cols[j] = col
+	}
+	return e.frame.All()
 }
 
 // predict runs the model over a columnar block, converting a predictor
@@ -410,29 +465,29 @@ func (e *Engine) predict(m *Model, x tabular.View) (proba [][]float64, cost ml.C
 
 // fallback resolves a request from the degraded tier: the majority class
 // with the training priors, at the cost of a prior lookup.
-func (e *Engine) fallback(r Request, at time.Duration) Response {
+func (e *Engine) fallback(r Request, at time.Duration) {
 	m := e.model
 	cost := ml.Cost{Generic: float64(admissionFLOPs + m.Classes)}
 	joules := e.machine.Energy(e.costDuration(cost), e.cfg.Cores, false, false)
-	return e.resolve(r, Degraded, "circuit breaker open; majority-class fallback", joules, m.Majority, m.Priors, at)
+	e.resolve(r, Degraded, "circuit breaker open; majority-class fallback", joules, m.Majority, m.Priors, at)
 }
 
 // resolveCheap resolves a request that consumed only admission
 // bookkeeping, at the current instant.
-func (e *Engine) resolveCheap(r Request, o Outcome, msg string) Response {
+func (e *Engine) resolveCheap(r Request, o Outcome, msg string) {
 	cost := ml.Cost{Generic: admissionFLOPs}
 	joules := e.machine.Energy(e.costDuration(cost), e.cfg.Cores, false, false)
-	return e.resolve(r, o, msg, joules, -1, nil, e.now)
+	e.resolve(r, o, msg, joules, -1, nil, e.now)
 }
 
 // resolve is the single exit point of the taxonomy: it charges the
 // request's joules to the tracker (resolution order IS ledger order —
-// the conservation invariant depends on it), counts the outcome, and
-// journals the resolution.
-func (e *Engine) resolve(r Request, o Outcome, msg string, joules float64, class int, proba []float64, done time.Duration) Response {
+// the conservation invariant depends on it), counts the outcome,
+// appends the response to the result buffer and journals it.
+func (e *Engine) resolve(r Request, o Outcome, msg string, joules float64, class int, proba []float64, done time.Duration) {
 	e.tracker.AddJoules(energy.Inference, joules)
 	e.stats.Outcomes[o]++
-	resp := Response{
+	e.out = append(e.out, Response{
 		ID:      r.ID,
 		Outcome: o,
 		Class:   class,
@@ -441,18 +496,18 @@ func (e *Engine) resolve(r Request, o Outcome, msg string, joules float64, class
 		Latency: done - r.Arrival,
 		Joules:  joules,
 		Err:     msg,
-	}
+	})
 	if e.journal != nil {
-		e.journal.Append(&resp)
+		e.journal.Append(&e.out[len(e.out)-1])
 	}
-	return resp
 }
 
 // costDuration converts predict FLOPs to virtual duration on the
 // engine's machine and core allotment.
 func (e *Engine) costDuration(c ml.Cost) time.Duration {
 	var d time.Duration
-	for _, w := range c.Works(0) {
+	works, n := c.Works(0)
+	for _, w := range works[:n] {
 		d += e.machine.Duration(w, e.cfg.Cores)
 	}
 	return d

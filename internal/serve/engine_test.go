@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -277,7 +278,7 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 	var all []Response
 	at := time.Duration(0)
 	submitAndSettle := func(id uint64) Response {
-		rs := e.Submit(Request{ID: id, Row: []float64{0}, Arrival: at})
+		rs := slices.Clone(e.Submit(Request{ID: id, Row: []float64{0}, Arrival: at}))
 		rs = append(rs, e.AdvanceTo(at+500*time.Millisecond)...)
 		at += 500 * time.Millisecond
 		all = append(all, rs...)
@@ -327,7 +328,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	e := testEngine(t, pred, cfg)
 	at := time.Duration(0)
 	step := func(id uint64) Response {
-		rs := e.Submit(Request{ID: id, Row: []float64{0}, Arrival: at})
+		rs := slices.Clone(e.Submit(Request{ID: id, Row: []float64{0}, Arrival: at}))
 		rs = append(rs, e.AdvanceTo(at+100*time.Millisecond)...)
 		at += 100 * time.Millisecond
 		if len(rs) != 1 {
@@ -478,7 +479,7 @@ func TestDrainResolvesEverythingThenSheds(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.Submit(Request{ID: uint64(i), Row: []float64{0}, Arrival: 0})
 	}
-	all := e.Drain(time.Millisecond)
+	all := slices.Clone(e.Drain(time.Millisecond))
 	if len(all) != 5 {
 		t.Fatalf("drain resolved %d of 5 queued requests", len(all))
 	}

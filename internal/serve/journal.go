@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/atomicio"
@@ -23,8 +25,9 @@ import (
 type Journal struct {
 	f journalFile
 	w *bufio.Writer
-	// line is Append's encode buffer; w.Write copies out of it.
-	line []byte
+	// rec and line are Append's encode buffers: the record's JSON, then
+	// its framed line, which w.Write copies out of.
+	rec, line []byte
 	// dropped counts failed journal operations; see Dropped.
 	dropped int
 }
@@ -79,7 +82,7 @@ func newJournal(f journalFile) *Journal {
 	return &Journal{f: f, w: bufio.NewWriter(f)}
 }
 
-// Append journals one resolution. Marshal and write errors are
+// Append journals one resolution. Encode and write errors are
 // deliberately not fatal to serving — a full disk must not take the
 // daemon down — but they are counted (see Dropped), and the line is
 // either fully framed or torn, never silently mangled.
@@ -93,15 +96,79 @@ func (j *Journal) Append(r *Response) {
 		Joules:    r.Joules,
 		Err:       r.Err,
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
+	payload, ok := appendRecord(j.rec[:0], &rec)
+	if !ok {
 		j.dropped++
 		return
 	}
+	j.rec = payload
 	j.line = atomicio.AppendJournalLine(j.line[:0], payload)
 	if _, err := j.w.Write(j.line); err != nil {
 		j.dropped++
 	}
+}
+
+// appendRecord appends the JSON encoding of rec to dst: byte for byte
+// what json.Marshal(rec) produces, written with strconv appends instead
+// of reflection so that a journal line costs no allocation. Like
+// json.Marshal it refuses a NaN or infinite Joules, reporting false.
+func appendRecord(dst []byte, rec *JournalRecord) ([]byte, bool) {
+	if math.IsNaN(rec.Joules) || math.IsInf(rec.Joules, 0) {
+		return dst, false
+	}
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendUint(dst, rec.ID, 10)
+	dst = append(dst, `,"outcome":`...)
+	dst = appendJSONString(dst, rec.Outcome)
+	dst = append(dst, `,"class":`...)
+	dst = strconv.AppendInt(dst, int64(rec.Class), 10)
+	dst = append(dst, `,"done_us":`...)
+	dst = strconv.AppendInt(dst, rec.DoneUS, 10)
+	dst = append(dst, `,"latency_us":`...)
+	dst = strconv.AppendInt(dst, rec.LatencyUS, 10)
+	dst = append(dst, `,"joules":`...)
+	dst = appendJSONFloat(dst, rec.Joules)
+	if rec.Err != "" {
+		dst = append(dst, `,"err":`...)
+		dst = appendJSONString(dst, rec.Err)
+	}
+	return append(dst, '}'), true
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64:
+// the shortest round-trip digits, in exponent form only below 1e-6 or
+// from 1e21 up, with a two-digit negative exponent shortened (e-07 to
+// e-7).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
+}
+
+// appendJSONString appends s as json.Marshal writes a string. Printable
+// ASCII other than '"', '\\' and HTML's '<', '>' and '&' needs no
+// escape, so such a string — every outcome name and almost every engine
+// message — is copied between quotes. Any other string goes through
+// json.Marshal, which applies its full, HTML-safe escaping.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always encodes
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // Flush pushes buffered lines to the OS and syncs the file. A failed
@@ -116,7 +183,7 @@ func (j *Journal) Flush() {
 }
 
 // Dropped reports how many journal operations have failed: a record that
-// could not be marshalled or written, or a flush or sync that failed.
+// could not be encoded or written, or a flush or sync that failed.
 // Buffered lines lost to one failed flush count once, as that flush. A
 // nonzero count means the on-disk ledger may be short of the tracker's.
 func (j *Journal) Dropped() int { return j.dropped }

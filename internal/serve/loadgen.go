@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/energy"
@@ -86,11 +86,18 @@ func (g LoadGen) Run(e *Engine, source tabular.View) Report {
 		g.Requests = 1000
 	}
 	rng := rand.New(rand.NewPCG(g.Seed, 0x10adbeef))
-	rows := source.Rows()
+	rows, width := source.Rows(), source.Features()
+	// One row-major gather of the source, taken once: each request's Row
+	// is a read-only window of it (the engine copies features out at
+	// flush and never writes them), so issuing a request copies nothing.
+	gathered := make([]float64, rows*width)
+	for i := 0; i < rows; i++ {
+		source.Row(i, gathered[i*width:(i+1)*width])
+	}
 
 	var (
 		issued    int
-		latencies []time.Duration
+		latencies = make([]time.Duration, 0, g.Requests)
 		rep       Report
 		lastDone  time.Duration
 	)
@@ -107,9 +114,10 @@ func (g LoadGen) Run(e *Engine, source tabular.View) Report {
 		}
 	}
 	makeRequest := func(at time.Duration) Request {
+		i := rng.IntN(rows)
 		req := Request{
 			ID:      uint64(issued),
-			Row:     source.Row(rng.IntN(rows), nil),
+			Row:     gathered[i*width : (i+1)*width : (i+1)*width],
 			Arrival: at,
 		}
 		if g.DeadlineFrac > 0 && g.Deadline > 0 && rng.Float64() < g.DeadlineFrac {
@@ -173,6 +181,9 @@ func (g LoadGen) Run(e *Engine, source tabular.View) Report {
 	if rep.SimTime > 0 {
 		rep.AvgWatts = rep.KWh * energy.JoulesPerKWh / rep.SimTime.Seconds()
 	}
+	// The run is over, so latencies can be sorted in place; both
+	// quantiles index the one sorted slice.
+	slices.Sort(latencies)
 	rep.P50 = percentile(latencies, 0.50)
 	rep.P99 = percentile(latencies, 0.99)
 	return rep
@@ -198,14 +209,13 @@ func (g LoadGen) pareto(rng *rand.Rand, mean time.Duration) time.Duration {
 	return time.Duration(x)
 }
 
-func percentile(d []time.Duration, q float64) time.Duration {
-	if len(d) == 0 {
+// percentile reports the q-quantile of sorted: the element at
+// q·(len-1), rounded down.
+func percentile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
 		return 0
 	}
-	s := append([]time.Duration(nil), d...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	i := int(q * float64(len(s)-1))
-	return s[i]
+	return sorted[int(q*float64(len(sorted)-1))]
 }
 
 func maxT(a, b time.Duration) time.Duration {

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/energy"
+	"repro/internal/hw"
 	"repro/internal/tabular"
 )
 
@@ -130,5 +134,72 @@ func TestLoadGenMillionUserScale(t *testing.T) {
 	rep := g.Run(e, loadSource())
 	if got := sumOutcomes(rep.Outcomes); got != rep.Requests {
 		t.Fatalf("outcomes sum to %d, want %d", got, rep.Requests)
+	}
+}
+
+// TestLoadGenReportsUnchanged pins two runs over a three-feature source,
+// with deadlines, to the reports of the generator as it was before it
+// served rows as windows of one gather and sorted latencies once: the
+// outcome counts, the percentiles, the ledger and the span must all come
+// out as they did when every request copied its row and each percentile
+// sorted its own copy.
+func TestLoadGenReportsUnchanged(t *testing.T) {
+	src := tabular.FromRows([][]float64{{0, 5, 2}, {1, 4, 3}, {0, 3, 1}, {1, 2, 9}, {1, 1, 7}, {0, 8, 8}, {1, 6, 0}})
+	for _, c := range []struct {
+		gen      LoadGen
+		outcomes [numOutcomes]int
+		p50, p99 time.Duration
+		ledger   float64
+		simTime  time.Duration
+	}{
+		{
+			gen:      LoadGen{Rate: 900, Requests: 3000, Seed: 5, DeadlineFrac: 0.3, Deadline: 4 * time.Millisecond},
+			outcomes: [numOutcomes]int{2299, 525, 176, 0, 0},
+			p50:      5223452, p99: 14642386,
+			ledger: 186.38550000000143, simTime: 2872683541,
+		},
+		{
+			gen:      LoadGen{Users: 40, Rate: 2000, Requests: 3000, Seed: 9, DeadlineFrac: 0.3, Deadline: 4 * time.Millisecond},
+			outcomes: [numOutcomes]int{2054, 939, 7, 0, 0},
+			p50:      13189695, p99: 22612062,
+			ledger: 209.16378000000063, simTime: 2065181801,
+		},
+	} {
+		m := testModel(&scriptedPredictor{classes: 2})
+		m.Features = 3
+		e := NewEngine(m, hw.XeonGold6132(), Config{BatchWindow: time.Millisecond, BatchMax: 8, QueueCap: 32})
+		rep := c.gen.Run(e, src)
+		if rep.Outcomes != c.outcomes || rep.P50 != c.p50 || rep.P99 != c.p99 ||
+			rep.LedgerJoules != c.ledger || rep.SimTime != c.simTime {
+			t.Errorf("users %d seed %d: outcomes %v p50 %d p99 %d ledger %v span %d; want %v %d %d %v %d",
+				c.gen.Users, c.gen.Seed, rep.Outcomes, rep.P50, rep.P99, rep.LedgerJoules, rep.SimTime,
+				c.outcomes, c.p50, c.p99, c.ledger, c.simTime)
+		}
+	}
+}
+
+// TestPercentileMatchesPerQuantileSort checks the sort-once percentile
+// against the per-quantile computation it replaced: copy the latencies,
+// sort the copy, index q·(len-1).
+func TestPercentileMatchesPerQuantileSort(t *testing.T) {
+	old := func(d []time.Duration, q float64) time.Duration {
+		if len(d) == 0 {
+			return 0
+		}
+		s := append([]time.Duration(nil), d...)
+		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		return s[int(q*float64(len(s)-1))]
+	}
+	rng := rand.New(rand.NewPCG(4, 2))
+	for _, n := range []int{0, 1, 2, 3, 99, 100, 101, 1000} {
+		d := make([]time.Duration, n)
+		for i := range d {
+			d[i] = time.Duration(rng.IntN(50)) * time.Microsecond // ties included
+		}
+		want50, want99 := old(d, 0.50), old(d, 0.99)
+		slices.Sort(d)
+		if got50, got99 := percentile(d, 0.50), percentile(d, 0.99); got50 != want50 || got99 != want99 {
+			t.Errorf("n=%d: p50 %v p99 %v, want %v %v", n, got50, got99, want50, want99)
+		}
 	}
 }

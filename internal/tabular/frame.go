@@ -108,8 +108,7 @@ func (f *Frame) Release() {
 
 // FromRows builds an unlabeled frame from row-major data. It is the one
 // row-to-column adapter, for inputs that arrive as rows: Bayesian
-// optimization's config vectors and the serving engine's request batches.
-// Every row must be as wide as row 0.
+// optimization's config vectors. Every row must be as wide as row 0.
 func FromRows(x [][]float64) View {
 	if len(x) == 0 {
 		return (&Frame{}).All()

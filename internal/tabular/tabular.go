@@ -13,7 +13,8 @@
 //
 // ReadCSV parses straight into a Frame. FromRows is the one row-major
 // adapter, kept for the rows that really arrive as rows: Bayesian
-// optimization's config vectors and the serving engine's request batches.
+// optimization's config vectors. (The serving engine gathers its request
+// batches into a Frame of its own, reused from batch to batch.)
 package tabular
 
 import "math/rand/v2"
