@@ -1,8 +1,10 @@
 package artifact
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand/v2"
@@ -273,5 +275,22 @@ func TestEnvelopeCRCMatchesSpec(t *testing.T) {
 	want := binary.LittleEndian.Uint32(data[4:8])
 	if got := crc32.ChecksumIEEE(data[16:]); got != want {
 		t.Fatalf("envelope CRC %08x, header says %08x", got, want)
+	}
+}
+
+// artifactPinSHA256 is the SHA-256 of encode's payload for testSpec with
+// a fixed fingerprint. The fingerprint is a constant rather than a refit
+// so the pin covers the GART format alone, not the kernels behind Build.
+const artifactPinSHA256 = "c2d1fce65c22feb47fe0101a477bd4b369ca5e261ce2097a44ebd3990986dd44"
+
+// TestEncodeBytesPinned pins the artifact payload bytes: a codec change
+// that moves one byte on disk fails here, even if it round-trips.
+func TestEncodeBytesPinned(t *testing.T) {
+	payload, err := encode(&Model{Spec: testSpec(t), Fingerprint: 0x0123_4567_89ab_cdef})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(payload)); got != artifactPinSHA256 {
+		t.Fatalf("artifact payload SHA-256 %s, pinned %s", got, artifactPinSHA256)
 	}
 }

@@ -2,8 +2,10 @@ package repo
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -370,5 +372,16 @@ func TestEmptyRecordConfigRoundTripNil(t *testing.T) {
 	}
 	if got.Record != nil || got.Config != nil {
 		t.Fatalf("empty blobs decoded non-nil: %v / %v", got.Record, got.Config)
+	}
+}
+
+// cellPinSHA256 is the SHA-256 of encodeEntry(testEntry("k")).
+const cellPinSHA256 = "3cb819d05dcddf8a7f56541a31a51c6de3d39e4685b1ce27edc7403573d0b2de"
+
+// TestEncodeEntryBytesPinned pins the cell payload bytes: a codec change
+// that moves one byte on disk fails here, even if it round-trips.
+func TestEncodeEntryBytesPinned(t *testing.T) {
+	if got := fmt.Sprintf("%x", sha256.Sum256(encodeEntry(testEntry("k")))); got != cellPinSHA256 {
+		t.Fatalf("cell payload SHA-256 %s, pinned %s", got, cellPinSHA256)
 	}
 }
