@@ -237,20 +237,25 @@ func Load(path string) (*Model, ml.Cost, error) {
 // little-endian.
 func encode(m *Model) ([]byte, error) {
 	spec := &m.Spec
-	var b bytes.Buffer
-	b.Write(artifactMagic[:])
-	writeU16(&b, Version)
-	if err := writeString(&b, spec.Dataset); err != nil {
-		return nil, err
-	}
-	if len(spec.Models) > math.MaxUint16 {
-		return nil, fmt.Errorf("artifact: %d model names overflow the format", len(spec.Models))
-	}
-	writeU16(&b, uint16(len(spec.Models)))
-	for _, name := range spec.Models {
-		if err := writeString(&b, name); err != nil {
-			return nil, err
+	caps, params := sortedNames(spec.ComplexityCaps), sortedNames(spec.Params)
+	for _, n := range [...]int{len(spec.Models), len(caps), len(params)} {
+		if n > math.MaxUint16 {
+			return nil, fmt.Errorf("artifact: %d-entry list overflows the format", n)
 		}
+	}
+	for _, list := range [...][]string{{spec.Dataset}, spec.Models, caps, params} {
+		for _, s := range list {
+			if len(s) > math.MaxUint16 {
+				return nil, fmt.Errorf("artifact: %d-byte string overflows the format", len(s))
+			}
+		}
+	}
+	le := binary.LittleEndian
+	b := le.AppendUint16(append([]byte(nil), artifactMagic[:]...), Version)
+	b = append(le.AppendUint16(b, uint16(len(spec.Dataset))), spec.Dataset...)
+	b = le.AppendUint16(b, uint16(len(spec.Models)))
+	for _, name := range spec.Models {
+		b = append(le.AppendUint16(b, uint16(len(name))), name...)
 	}
 	var flags byte
 	if spec.DataPreprocessors {
@@ -259,19 +264,34 @@ func encode(m *Model) ([]byte, error) {
 	if spec.FeaturePreprocessors {
 		flags |= 2
 	}
-	b.WriteByte(flags)
-	if err := writeFloatMap(&b, spec.ComplexityCaps); err != nil {
+	b = append(b, flags)
+	for _, list := range [...]struct {
+		names []string
+		vals  map[string]float64
+	}{{caps, spec.ComplexityCaps}, {params, spec.Params}} {
+		b = le.AppendUint16(b, uint16(len(list.names)))
+		for _, name := range list.names {
+			b = append(le.AppendUint16(b, uint16(len(name))), name...)
+			b = le.AppendUint64(b, math.Float64bits(list.vals[name]))
+		}
+	}
+	b = le.AppendUint64(b, spec.Seed)
+	b, err := appendFrame(b, spec.Train)
+	if err != nil {
 		return nil, err
 	}
-	if err := writeFloatMap(&b, map[string]float64(spec.Params)); err != nil {
-		return nil, err
+	return le.AppendUint64(b, m.Fingerprint), nil
+}
+
+// sortedNames returns m's keys in sorted order, the order encode writes
+// a name/float64 list in.
+func sortedNames(m map[string]float64) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
 	}
-	writeU64(&b, spec.Seed)
-	if err := encodeFrame(&b, spec.Train); err != nil {
-		return nil, err
-	}
-	writeU64(&b, m.Fingerprint)
-	return b.Bytes(), nil
+	sort.Strings(names)
+	return names
 }
 
 // decode parses an artifact payload back into a spec and its stored
@@ -279,238 +299,129 @@ func encode(m *Model) ([]byte, error) {
 // ErrVersion.
 func decode(payload []byte) (Spec, uint64, error) {
 	var spec Spec
-	r := &reader{data: payload}
-	magic := r.bytes(4)
-	if r.err != nil || !bytes.Equal(magic, artifactMagic[:]) {
+	d := atomicio.NewDecoder(payload)
+	if magic := d.Bytes(4); !bytes.Equal(magic, artifactMagic[:]) {
 		return spec, 0, fmt.Errorf("payload magic is not %q: %w", artifactMagic[:], ErrMalformed)
 	}
-	version := r.u16()
-	if r.err != nil {
+	version := d.U16()
+	if d.Err() != nil {
 		return spec, 0, fmt.Errorf("truncated version field: %w", ErrMalformed)
 	}
 	if version != Version {
 		return spec, 0, fmt.Errorf("format version %d, this reader handles %d: %w", version, Version, ErrVersion)
 	}
-	spec.Dataset = r.str()
-	nModels := int(r.u16())
-	for i := 0; i < nModels && r.err == nil; i++ {
-		spec.Models = append(spec.Models, r.str())
+	spec.Dataset = string(d.Blob16())
+	nModels := int(d.U16())
+	for i := 0; i < nModels && d.Err() == nil; i++ {
+		spec.Models = append(spec.Models, string(d.Blob16()))
 	}
-	flags := r.byte()
+	flags := d.Byte()
 	spec.DataPreprocessors = flags&1 != 0
 	spec.FeaturePreprocessors = flags&2 != 0
-	spec.ComplexityCaps = r.floatMap()
-	spec.Params = pipeline.Config(r.floatMap())
-	spec.Seed = r.u64()
-	spec.Train = r.frame(spec.Dataset)
-	fp := r.u64()
-	if r.err != nil {
-		return spec, 0, fmt.Errorf("%w: %w", ErrMalformed, r.err)
+	spec.ComplexityCaps = decodeFloatMap(&d)
+	spec.Params = pipeline.Config(decodeFloatMap(&d))
+	spec.Seed = d.U64()
+	spec.Train = decodeFrame(&d, spec.Dataset)
+	fp := d.U64()
+	if err := d.Err(); err != nil {
+		return spec, 0, fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
-	if r.pos != len(r.data) {
-		return spec, 0, fmt.Errorf("%d trailing bytes after artifact: %w", len(r.data)-r.pos, ErrMalformed)
+	if n := d.Remaining(); n != 0 {
+		return spec, 0, fmt.Errorf("%d trailing bytes after artifact: %w", n, ErrMalformed)
 	}
 	return spec, fp, nil
 }
 
-func encodeFrame(b *bytes.Buffer, f *tabular.Frame) error {
-	rows, features := f.Rows(), f.Features()
-	if rows > math.MaxInt32 || features > math.MaxUint16 {
-		return fmt.Errorf("artifact: frame %dx%d overflows the format", rows, features)
+// decodeFloatMap reads a count-prefixed name/float64 list; an empty
+// list is a nil map.
+func decodeFloatMap(d *atomicio.Decoder) map[string]float64 {
+	n := int(d.U16())
+	if d.Err() != nil || n == 0 {
+		return nil
 	}
-	writeU32(b, uint32(rows))
-	writeU16(b, uint16(features))
-	writeU16(b, uint16(f.Classes))
-	if f.Kinds == nil {
-		b.WriteByte(0)
-	} else {
-		b.WriteByte(1)
-		for _, k := range f.Kinds {
-			b.WriteByte(byte(k))
-		}
+	m := make(map[string]float64, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		name := string(d.Blob16())
+		m[name] = math.Float64frombits(d.U64())
 	}
-	if len(f.Y) != rows {
-		return fmt.Errorf("artifact: frame has %d labels for %d rows; artifacts need labeled training data", len(f.Y), rows)
-	}
-	for _, y := range f.Y {
-		writeU32(b, uint32(int32(y)))
-	}
-	var buf [8]byte
-	for _, col := range f.Cols {
-		for _, v := range col {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			b.Write(buf[:])
-		}
-	}
-	return nil
+	return m
 }
 
-// frame decodes the training frame. Shape and label sanity are checked
-// here so a parse error, not a panic, reaches the caller; full invariant
-// checking happens in Build via Frame.Validate.
-func (r *reader) frame(name string) *tabular.Frame {
-	rows := int(r.u32())
-	features := int(r.u16())
-	classes := int(r.u16())
-	if r.err != nil {
+func appendFrame(b []byte, f *tabular.Frame) ([]byte, error) {
+	rows, features := f.Rows(), f.Features()
+	if rows > math.MaxInt32 || features > math.MaxUint16 {
+		return nil, fmt.Errorf("artifact: frame %dx%d overflows the format", rows, features)
+	}
+	if len(f.Y) != rows {
+		return nil, fmt.Errorf("artifact: frame has %d labels for %d rows; artifacts need labeled training data", len(f.Y), rows)
+	}
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, uint32(rows))
+	b = le.AppendUint16(b, uint16(features))
+	b = le.AppendUint16(b, uint16(f.Classes))
+	if f.Kinds == nil {
+		b = append(b, 0)
+	} else {
+		b = append(b, 1)
+		for _, k := range f.Kinds {
+			b = append(b, byte(k))
+		}
+	}
+	for _, y := range f.Y {
+		b = le.AppendUint32(b, uint32(int32(y)))
+	}
+	for _, col := range f.Cols {
+		b = atomicio.AppendFloat64s(b, col)
+	}
+	return b, nil
+}
+
+// decodeFrame decodes the training frame. Shape and label sanity are
+// checked here so a parse error, not a panic, reaches the caller; full
+// invariant checking happens in Build via Frame.Validate.
+func decodeFrame(d *atomicio.Decoder, name string) *tabular.Frame {
+	rows := int(d.U32())
+	features := int(d.U16())
+	classes := int(d.U16())
+	if d.Err() != nil {
+		return nil
+	}
+	// A frame's row count is its columns' length, so labels without
+	// columns could never be encoded again.
+	if features == 0 && rows > 0 {
+		d.Fail(fmt.Errorf("frame has %d rows but no feature columns", rows))
 		return nil
 	}
 	// Reject shapes whose payload cannot possibly be present before
 	// allocating: 4 bytes per label plus 8 per cell must still fit in
 	// the remaining payload (int64 math so huge counts cannot wrap).
 	need := int64(rows)*4 + int64(rows)*int64(features)*8
-	if need > int64(len(r.data)-r.pos) {
-		r.fail(fmt.Errorf("frame shape %dx%d promises %d bytes, %d remain", rows, features, need, len(r.data)-r.pos))
+	if need > int64(d.Remaining()) {
+		d.Fail(fmt.Errorf("frame shape %dx%d promises %d bytes, %d remain", rows, features, need, d.Remaining()))
 		return nil
 	}
 	f := &tabular.Frame{Name: name, Classes: classes}
-	if kindsPresent := r.byte(); kindsPresent == 1 {
+	if kindsPresent := d.Byte(); kindsPresent == 1 {
 		f.Kinds = make([]tabular.FeatureKind, features)
 		for j := range f.Kinds {
-			f.Kinds[j] = tabular.FeatureKind(r.byte())
+			f.Kinds[j] = tabular.FeatureKind(d.Byte())
 		}
-	} else if kindsPresent != 0 && r.err == nil {
-		r.fail(fmt.Errorf("kinds presence byte %d", kindsPresent))
-		return nil
+	} else if kindsPresent != 0 {
+		d.Fail(fmt.Errorf("kinds presence byte %d", kindsPresent))
 	}
 	f.Y = make([]int, 0, rows)
-	for i := 0; i < rows && r.err == nil; i++ {
-		f.Y = append(f.Y, int(int32(r.u32())))
+	for i := 0; i < rows && d.Err() == nil; i++ {
+		f.Y = append(f.Y, int(int32(d.U32())))
+	}
+	// The columns are one column-major slab: decode it whole and cut it
+	// into capacity-capped columns.
+	backing := d.Float64s(rows * features)
+	if d.Err() != nil {
+		return nil
 	}
 	f.Cols = make([][]float64, features)
-	backing := make([]float64, 0, rows*features)
-	for j := 0; j < features && r.err == nil; j++ {
-		start := len(backing)
-		for i := 0; i < rows && r.err == nil; i++ {
-			backing = append(backing, math.Float64frombits(r.u64()))
-		}
-		f.Cols[j] = backing[start : start+rows : start+rows]
-	}
-	if r.err != nil {
-		return nil
+	for j := range f.Cols {
+		f.Cols[j] = backing[j*rows : (j+1)*rows : (j+1)*rows]
 	}
 	return f
-}
-
-func writeU16(b *bytes.Buffer, v uint16) {
-	var buf [2]byte
-	binary.LittleEndian.PutUint16(buf[:], v)
-	b.Write(buf[:])
-}
-
-func writeU32(b *bytes.Buffer, v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	b.Write(buf[:])
-}
-
-func writeU64(b *bytes.Buffer, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	b.Write(buf[:])
-}
-
-func writeString(b *bytes.Buffer, s string) error {
-	if len(s) > math.MaxUint16 {
-		return fmt.Errorf("artifact: %d-byte string overflows the format", len(s))
-	}
-	writeU16(b, uint16(len(s)))
-	b.WriteString(s)
-	return nil
-}
-
-func writeFloatMap(b *bytes.Buffer, m map[string]float64) error {
-	if len(m) > math.MaxUint16 {
-		return fmt.Errorf("artifact: %d-entry map overflows the format", len(m))
-	}
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	writeU16(b, uint16(len(names)))
-	for _, name := range names {
-		if err := writeString(b, name); err != nil {
-			return err
-		}
-		writeU64(b, math.Float64bits(m[name]))
-	}
-	return nil
-}
-
-// reader is a cursor over the payload that latches its first error, so
-// decode reads linearly and checks once.
-type reader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (r *reader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
-
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.pos+n > len(r.data) {
-		r.fail(fmt.Errorf("truncated at byte %d (want %d more)", r.pos, n))
-		return nil
-	}
-	out := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return out
-}
-
-func (r *reader) byte() byte {
-	b := r.bytes(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u16() uint16 {
-	b := r.bytes(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *reader) u32() uint32 {
-	b := r.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *reader) str() string {
-	n := int(r.u16())
-	return string(r.bytes(n))
-}
-
-func (r *reader) floatMap() map[string]float64 {
-	n := int(r.u16())
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	m := make(map[string]float64, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		name := r.str()
-		m[name] = math.Float64frombits(r.u64())
-	}
-	return m
 }

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/atomicio"
@@ -35,8 +37,8 @@ func testFrame(rows int) *tabular.Frame {
 	return f
 }
 
-func testSpec(t *testing.T) Spec {
-	t.Helper()
+func testSpec(tb testing.TB) Spec {
+	tb.Helper()
 	return Spec{
 		Dataset:           "unit",
 		Models:            []string{"tree"},
@@ -293,4 +295,94 @@ func TestEncodeBytesPinned(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256(payload)); got != artifactPinSHA256 {
 		t.Fatalf("artifact payload SHA-256 %s, pinned %s", got, artifactPinSHA256)
 	}
+}
+
+// FuzzArtifactPayload checks the artifact decoder, the decode that runs
+// before the refit, on arbitrary payloads: it never panics, every
+// refusal is ErrMalformed or ErrVersion, and the spec and fingerprint of
+// an accepted payload survive encode → decode bit for bit. The seeds are
+// a valid payload and the payload mutations of the TestLoadRefuses*
+// cases.
+func FuzzArtifactPayload(f *testing.F) {
+	// An 8-row frame keeps the seeds small, and with them the time the
+	// fuzzer spends minimising each new input.
+	spec := testSpec(f)
+	spec.Train = testFrame(8)
+	valid, err := encode(&Model{Spec: spec, Fingerprint: 0x0123_4567_89ab_cdef})
+	if err != nil {
+		f.Fatal(err)
+	}
+	mutate := func(m func(p []byte)) []byte {
+		p := append([]byte(nil), valid...)
+		m(p)
+		return p
+	}
+	f.Add(valid)
+	f.Add(mutate(func(p []byte) { binary.LittleEndian.PutUint16(p[4:6], Version+1) }))
+	f.Add([]byte("a valid envelope holding something that is not an artifact"))
+	f.Add(valid[:len(valid)-9])
+	f.Add(mutate(func(p []byte) {
+		fp := binary.LittleEndian.Uint64(p[len(p)-8:])
+		binary.LittleEndian.PutUint64(p[len(p)-8:], fp^0xdeadbeef)
+	}))
+	f.Add(mutate(func(p []byte) { binary.LittleEndian.PutUint64(p[len(p)-8-3*8*8+2*8:], math.Float64bits(1e9)) }))
+	unresolvable := []func(*Spec){func(s *Spec) { s.Train.Y[0] = 7 }}
+	for _, family := range []string{"no_such_family", "adaboost", "qda", "hist_gradient_boosting"} {
+		unresolvable = append(unresolvable, func(s *Spec) { s.Models = []string{family} })
+	}
+	for _, m := range unresolvable {
+		s := spec
+		s.Train = testFrame(8)
+		m(&s)
+		payload, err := encode(&Model{Spec: s})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		spec, fp, err := decode(payload)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("refusal %v wraps neither ErrMalformed nor ErrVersion", err)
+			}
+			return
+		}
+		again, err := encode(&Model{Spec: spec, Fingerprint: fp})
+		if err != nil {
+			t.Fatalf("accepted spec does not re-encode: %v", err)
+		}
+		spec2, fp2, err := decode(again)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded spec: %v", err)
+		}
+		if fp2 != fp || !sameSpec(spec2, spec) {
+			t.Fatalf("round trip: got %+v/%016x, want %+v/%016x", spec2, fp2, spec, fp)
+		}
+	})
+}
+
+// sameSpec compares two specs field by field, floats by their bits, so
+// NaN payloads and −0 count.
+func sameSpec(a, b Spec) bool {
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	sameMap := func(x, y map[string]float64) bool {
+		return maps.EqualFunc(x, y, sameBits) && (x == nil) == (y == nil)
+	}
+	if a.Dataset != b.Dataset || !slices.Equal(a.Models, b.Models) || (a.Models == nil) != (b.Models == nil) ||
+		a.DataPreprocessors != b.DataPreprocessors || a.FeaturePreprocessors != b.FeaturePreprocessors ||
+		!sameMap(a.ComplexityCaps, b.ComplexityCaps) || !sameMap(a.Params, b.Params) || a.Seed != b.Seed {
+		return false
+	}
+	x, y := a.Train, b.Train
+	if x.Name != y.Name || x.Classes != y.Classes || !slices.Equal(x.Y, y.Y) ||
+		!slices.Equal(x.Kinds, y.Kinds) || (x.Kinds == nil) != (y.Kinds == nil) || len(x.Cols) != len(y.Cols) {
+		return false
+	}
+	for j := range x.Cols {
+		if !slices.EqualFunc(x.Cols[j], y.Cols[j], sameBits) {
+			return false
+		}
+	}
+	return true
 }

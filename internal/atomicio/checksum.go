@@ -42,16 +42,9 @@ var envelopeMagic = [4]byte{'A', 'I', 'O', '1'}
 // envelopeHeaderLen is the fixed byte length of the envelope header.
 const envelopeHeaderLen = 16
 
-// WriteFileChecksummed atomically writes the bytes render produces,
-// wrapped in the self-verifying envelope ReadFileChecksummed consumes.
-// The payload is rendered in memory first: the CRC and length must be
-// known before the first payload byte hits the file.
-func WriteFileChecksummed(path string, render func(io.Writer) error) error {
-	var buf bytes.Buffer
-	if err := render(&buf); err != nil {
-		return fmt.Errorf("atomicio: rendering checksummed payload for %s: %w", path, err)
-	}
-	payload := buf.Bytes()
+// WriteFileChecksummedBytes atomically writes payload wrapped in the
+// self-verifying envelope ReadFileChecksummed consumes.
+func WriteFileChecksummedBytes(path string, payload []byte) error {
 	var header [envelopeHeaderLen]byte
 	copy(header[:4], envelopeMagic[:])
 	binary.LittleEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
@@ -60,15 +53,6 @@ func WriteFileChecksummed(path string, render func(io.Writer) error) error {
 		if _, err := w.Write(header[:]); err != nil {
 			return err
 		}
-		_, err := w.Write(payload)
-		return err
-	})
-}
-
-// WriteFileChecksummedBytes is WriteFileChecksummed for pre-rendered
-// content.
-func WriteFileChecksummedBytes(path string, payload []byte) error {
-	return WriteFileChecksummed(path, func(w io.Writer) error {
 		_, err := w.Write(payload)
 		return err
 	})

@@ -180,16 +180,17 @@ func RunShard(systems []automl.System, cfg Config, path string) (ShardRun, error
 			return ShardRun{}, err
 		}
 	}
+	hook, err := chaosKillHook(os.Getenv(chaosKillEnv))
+	if err != nil {
+		return ShardRun{}, err
+	}
 	var j *Journal
 	if path != "" {
-		var err error
 		if j, err = openJournal(path, Fingerprint(systems, cfg), cfg.Shard); err != nil {
 			return ShardRun{}, err
 		}
 		defer j.Close()
-		if hook := chaosKillHookFromEnv(); hook != nil {
-			j.crash = hook
-		}
+		j.crash = hook
 	}
 	records, stats, err := runGrid(systems, cfg, j)
 	if err != nil {
@@ -207,20 +208,18 @@ func RunShard(systems []automl.System, cfg Config, path string) (ShardRun, error
 // state a kill mid-write leaves). Test machinery only; unset means off.
 const chaosKillEnv = "GREENBENCH_CHAOS_KILL"
 
-// chaosKillHookFromEnv builds the journal crash hook the chaos
-// environment variable requests, or nil.
-func chaosKillHookFromEnv() crashFn {
-	val := os.Getenv(chaosKillEnv)
+// chaosKillHook builds the journal crash hook a chaos environment value
+// requests, or nil for an empty value. A malformed value is an error
+// that names it: a mistyped chaos case must fail, not silently kill
+// nothing.
+func chaosKillHook(val string) (crashFn, error) {
 	if val == "" {
-		return nil
+		return nil, nil
 	}
 	point, seqStr, ok := strings.Cut(val, "@")
-	if !ok {
-		return nil
-	}
 	seq, err := strconv.Atoi(seqStr)
-	if err != nil {
-		return nil
+	if !ok || err != nil || seq < 0 {
+		return nil, fmt.Errorf("bench: %s=%q is not <point>@<seq> with a non-negative integer seq", chaosKillEnv, val)
 	}
 	target, torn := "", false
 	switch point {
@@ -233,7 +232,7 @@ func chaosKillHookFromEnv() crashFn {
 	case "torn":
 		target, torn = crashAppendWritten, true
 	default:
-		return nil
+		return nil, fmt.Errorf("bench: %s=%q names unknown crash point %q (want start, written, torn or synced)", chaosKillEnv, val, point)
 	}
 	return func(p string, s int, f *os.File, line []byte) error {
 		if p != target || s != seq {
@@ -255,5 +254,5 @@ func chaosKillHookFromEnv() crashFn {
 		// The signal is asynchronous; park until it lands so no further
 		// journal write can race past the "kill point".
 		select {}
-	}
+	}, nil
 }

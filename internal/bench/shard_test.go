@@ -353,3 +353,39 @@ func TestEnumerateGridShardsLazily(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosKillHookParsesValue pins the chaos variable's grammar: every
+// well-formed "<point>@<seq>" yields a hook, unset yields none, and a
+// malformed value is an error naming it, so a mistyped chaos case fails
+// at the shard's start instead of silently killing nothing.
+func TestChaosKillHookParsesValue(t *testing.T) {
+	for _, tc := range []struct {
+		val      string
+		wantHook bool
+		wantErr  bool
+	}{
+		{"", false, false},
+		{"start@0", true, false},
+		{"written@3", true, false},
+		{"torn@1", true, false},
+		{"synced@12", true, false},
+		{"start", false, true},
+		{"start@x", false, true},
+		{"start@", false, true},
+		{"start@-1", false, true},
+		{"strat@0", false, true},
+		{"@0", false, true},
+	} {
+		hook, err := chaosKillHook(tc.val)
+		if (hook != nil) != tc.wantHook || (err != nil) != tc.wantErr {
+			t.Errorf("%q: hook %v, err %v; want hook %v, err %v", tc.val, hook != nil, err, tc.wantHook, tc.wantErr)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.val)) {
+			t.Errorf("%q: error %q does not name the value", tc.val, err)
+		}
+	}
+	t.Setenv(chaosKillEnv, "strat@0")
+	if _, err := RunShard(nil, Config{}, ""); err == nil || !strings.Contains(err.Error(), "strat@0") {
+		t.Fatalf("RunShard with a malformed %s: err = %v, want an error naming the value", chaosKillEnv, err)
+	}
+}

@@ -34,10 +34,12 @@
 package repo
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -46,7 +48,6 @@ import (
 
 	"repro/internal/atomicio"
 	"repro/internal/ml"
-	"repro/internal/tabular"
 )
 
 var (
@@ -164,29 +165,40 @@ func (r *Repository) cellPath(fingerprint, key string) string {
 // verification returns damaged == true: with AllowDamage the error is
 // nil (a counted miss), otherwise the error wraps ErrDamaged.
 func (r *Repository) Get(fingerprint, key string) (e *Entry, damaged bool, err error) {
-	path := r.cellPath(fingerprint, key)
+	e, damaged, err = r.readCell(r.cellPath(fingerprint, key), fingerprint, key)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, false, nil
+	}
+	return e, damaged, err
+}
+
+// readCell reads, verifies and decodes the cell file at path, which
+// must hold a cell of fingerprint and, unless key is empty, of key (a
+// walk learns its keys from the cells). A read failure is an error
+// wrapping its cause (fs.ErrNotExist for a missing file). A cell that
+// does not verify is damaged:
+// with AllowDamage the error is nil (a counted miss), otherwise it
+// wraps ErrDamaged.
+func (r *Repository) readCell(path, fingerprint, key string) (e *Entry, damaged bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("repo: reading cell %s: %w", key, err)
+		return nil, false, fmt.Errorf("repo: reading %s: %w", path, err)
 	}
 	payload, verr := atomicio.VerifyChecksummed(path, data)
 	if verr == nil {
 		e, verr = decodeEntry(payload)
-		if verr == nil && (e.Fingerprint != fingerprint || e.Key != key) {
-			verr = fmt.Errorf("cell holds %s/%s, path promises %s/%s (hash collision or foreign file)",
-				e.Fingerprint, e.Key, fingerprint, key)
-		}
 	}
-	if verr != nil {
-		if r.opts.AllowDamage {
-			return nil, true, nil
-		}
-		return nil, true, fmt.Errorf("repo: cell %s: %w: %w (rerun the cell, or pass -repo-allow-damage to count it as a miss)", key, ErrDamaged, verr)
+	if verr == nil && (e.Fingerprint != fingerprint || key != "" && e.Key != key) {
+		verr = fmt.Errorf("cell holds %s/%s, path promises %s/%s (hash collision or foreign file)",
+			e.Fingerprint, e.Key, fingerprint, key)
 	}
-	return e, false, nil
+	if verr == nil {
+		return e, false, nil
+	}
+	if r.opts.AllowDamage {
+		return nil, true, nil
+	}
+	return nil, true, fmt.Errorf("repo: %s: %w: %w (rerun the cell, or pass -repo-allow-damage to count it as a miss)", path, ErrDamaged, verr)
 }
 
 // Put stores one cell, replacing any previous version atomically. The
@@ -268,27 +280,16 @@ func (r *Repository) walkFingerprint(fingerprint string, fn func(*Entry) error) 
 		if de.IsDir() || !strings.HasSuffix(name, cellExt) {
 			continue
 		}
-		path := filepath.Join(dir, name)
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return damaged, fmt.Errorf("repo: reading %s: %w", path, rerr)
-		}
-		payload, verr := atomicio.VerifyChecksummed(path, data)
-		var e *Entry
-		if verr == nil {
-			e, verr = decodeEntry(payload)
-		}
-		if verr == nil && e.Fingerprint != fingerprint {
-			verr = fmt.Errorf("cell holds fingerprint %s under directory %s", e.Fingerprint, fingerprint)
-		}
-		if verr != nil {
+		e, bad, err := r.readCell(filepath.Join(dir, name), fingerprint, "")
+		if bad {
 			damaged++
-			if !r.opts.AllowDamage {
-				return damaged, fmt.Errorf("repo: %s: %w: %w", path, ErrDamaged, verr)
-			}
-			continue
 		}
-		entries = append(entries, e)
+		if err != nil {
+			return damaged, err
+		}
+		if e != nil {
+			entries = append(entries, e)
+		}
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
 	for _, e := range entries {
@@ -320,130 +321,63 @@ func encodeEntry(e *Entry) []byte {
 		4 + len(e.Record) + 4 + len(e.Config) +
 		4 + 4 + // rows, classes
 		3*8 + // cost
-		tabular.Float64SlabSize(len(e.Proba))
-	buf := make([]byte, 0, n)
-	buf = append(buf, cellMagic[:]...)
-	buf = appendBytes(buf, []byte(e.Fingerprint))
-	buf = appendBytes(buf, []byte(e.Key))
-	buf = appendBytes(buf, []byte(e.System))
-	buf = appendBytes(buf, []byte(e.Dataset))
-	buf = appendFloat(buf, e.Score)
-	buf = appendBytes(buf, e.Record)
-	buf = appendBytes(buf, e.Config)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Rows))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Classes))
-	buf = appendFloat(buf, e.InferCost.Generic)
-	buf = appendFloat(buf, e.InferCost.Tree)
-	buf = appendFloat(buf, e.InferCost.Matrix)
-	buf = tabular.AppendFloat64Slab(buf, e.Proba)
-	return buf
+		8*len(e.Proba)
+	le := binary.LittleEndian
+	buf := append(make([]byte, 0, n), cellMagic[:]...)
+	for _, s := range [...]string{e.Fingerprint, e.Key, e.System, e.Dataset} {
+		buf = append(le.AppendUint32(buf, uint32(len(s))), s...)
+	}
+	buf = le.AppendUint64(buf, math.Float64bits(e.Score))
+	for _, b := range [...][]byte{e.Record, e.Config} {
+		buf = append(le.AppendUint32(buf, uint32(len(b))), b...)
+	}
+	buf = le.AppendUint32(buf, uint32(e.Rows))
+	buf = le.AppendUint32(buf, uint32(e.Classes))
+	for _, v := range [...]float64{e.InferCost.Generic, e.InferCost.Tree, e.InferCost.Matrix} {
+		buf = le.AppendUint64(buf, math.Float64bits(v))
+	}
+	return atomicio.AppendFloat64s(buf, e.Proba)
 }
 
 // decodeEntry parses an envelope payload back into an Entry. Any
 // structural inconsistency is an error the caller classifies as damage.
+// Every blob is copied out of the payload, so an entry a walk keeps
+// does not pin its whole cell file in memory.
 func decodeEntry(payload []byte) (*Entry, error) {
-	d := decoder{data: payload}
-	var magic [4]byte
-	d.read(magic[:])
-	if magic != cellMagic {
-		return nil, fmt.Errorf("cell magic %q is not %q", magic[:], cellMagic[:])
+	d := atomicio.NewDecoder(payload)
+	if magic := d.Bytes(4); !bytes.Equal(magic, cellMagic[:]) {
+		return nil, fmt.Errorf("cell magic %q is not %q", magic, cellMagic[:])
 	}
-	e := &Entry{}
-	e.Fingerprint = string(d.bytes())
-	e.Key = string(d.bytes())
-	e.System = string(d.bytes())
-	e.Dataset = string(d.bytes())
-	e.Score = d.float()
-	e.Record = d.bytes()
-	e.Config = d.bytes()
-	e.Rows = int(d.uint32())
-	e.Classes = int(d.uint32())
-	e.InferCost.Generic = d.float()
-	e.InferCost.Tree = d.float()
-	e.InferCost.Matrix = d.float()
-	if d.err != nil {
-		return nil, d.err
+	e := &Entry{
+		Fingerprint: string(d.Blob32()),
+		Key:         string(d.Blob32()),
+		System:      string(d.Blob32()),
+		Dataset:     string(d.Blob32()),
+		Score:       math.Float64frombits(d.U64()),
+	}
+	// Empty blobs decode as nil.
+	if b := d.Blob32(); len(b) > 0 {
+		e.Record = bytes.Clone(b)
+	}
+	if b := d.Blob32(); len(b) > 0 {
+		e.Config = bytes.Clone(b)
+	}
+	e.Rows = int(d.U32())
+	e.Classes = int(d.U32())
+	e.InferCost.Generic = math.Float64frombits(d.U64())
+	e.InferCost.Tree = math.Float64frombits(d.U64())
+	e.InferCost.Matrix = math.Float64frombits(d.U64())
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	// rows·classes is checked against the remaining bytes by division
 	// first: a header promising 2^31 × 2^30 would wrap 8·rows·classes to
 	// 0 and pass a plain length comparison.
-	rest := len(d.data) - d.off
+	rest := d.Remaining()
 	if e.Rows < 0 || e.Classes < 0 || e.Classes > 0 && e.Rows > rest/8/e.Classes ||
-		rest != tabular.Float64SlabSize(e.Rows*e.Classes) {
+		rest != 8*e.Rows*e.Classes {
 		return nil, fmt.Errorf("cell slab holds %d bytes, header promises %d rows × %d classes", rest, e.Rows, e.Classes)
 	}
-	proba, err := tabular.DecodeFloat64Slab(d.data[d.off:], e.Rows*e.Classes)
-	if err != nil {
-		return nil, err
-	}
-	e.Proba = proba
-	if len(e.Record) == 0 {
-		e.Record = nil
-	}
-	if len(e.Config) == 0 {
-		e.Config = nil
-	}
-	return e, nil
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-func appendFloat(buf []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-}
-
-// decoder is a cursor over the payload with sticky error handling, so
-// the decode reads linearly and checks once.
-type decoder struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (d *decoder) read(dst []byte) {
-	if d.err != nil {
-		return
-	}
-	if d.off+len(dst) > len(d.data) {
-		d.err = fmt.Errorf("cell payload truncated at offset %d", d.off)
-		return
-	}
-	copy(dst, d.data[d.off:])
-	d.off += len(dst)
-}
-
-func (d *decoder) uint32() uint32 {
-	var b [4]byte
-	d.read(b[:])
-	if d.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-func (d *decoder) float() float64 {
-	var b [8]byte
-	d.read(b[:])
-	if d.err != nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
-}
-
-func (d *decoder) bytes() []byte {
-	n := int(d.uint32())
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.data) {
-		d.err = fmt.Errorf("cell payload promises %d bytes at offset %d, only %d remain", n, d.off, len(d.data)-d.off)
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.data[d.off:])
-	d.off += n
-	return out
+	e.Proba = d.Float64s(e.Rows * e.Classes)
+	return e, d.Err()
 }

@@ -385,3 +385,18 @@ func TestEncodeEntryBytesPinned(t *testing.T) {
 		t.Fatalf("cell payload SHA-256 %s, pinned %s", got, cellPinSHA256)
 	}
 }
+
+// TestDecodedEntryOwnsItsBytes checks that decodeEntry copies every blob
+// out of the payload: an entry a walk keeps must not alias, and so pin,
+// the cell file it was read from.
+func TestDecodedEntryOwnsItsBytes(t *testing.T) {
+	payload := encodeEntry(testEntry("k"))
+	e, err := decodeEntry(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(payload)
+	if !sameEntry(e, testEntry("k")) {
+		t.Fatalf("clearing the payload changed the decoded entry: %+v", e)
+	}
+}

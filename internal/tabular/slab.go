@@ -1,56 +1,11 @@
 package tabular
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// Slab I/O: the evaluation repository (internal/repo) persists every
-// grid cell's prediction probabilities as one contiguous little-endian
-// IEEE-754 block, so a cache hit is a single slab copy rather than a
-// row-by-row decode. The codec lives here, next to the columnar Frame
-// whose layout it mirrors: values are stored exactly as math.Float64bits
-// renders them, which makes the round trip bit-exact — NaN payloads and
-// signed zeros included — and therefore safe for byte-identity
-// guarantees layered on top.
-
-// Float64SlabSize returns the encoded byte length of an n-value slab.
-func Float64SlabSize(n int) int { return 8 * n }
-
-// AppendFloat64Slab appends vals to dst as one contiguous little-endian
-// float64 block and returns the extended slice.
-func AppendFloat64Slab(dst []byte, vals []float64) []byte {
-	need := Float64SlabSize(len(vals))
-	if cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	var buf [8]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		dst = append(dst, buf[:]...)
-	}
-	return dst
-}
-
-// DecodeFloat64Slab decodes an n-value contiguous float64 block from the
-// front of data into a freshly allocated slice. A short buffer is an
-// error, never a partial slab.
-func DecodeFloat64Slab(data []byte, n int) ([]float64, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("tabular: negative slab length %d", n)
-	}
-	if n > len(data)/8 {
-		return nil, fmt.Errorf("tabular: slab of %d values does not fit in %d bytes", n, len(data))
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	return out, nil
-}
+// Probability slabs: the evaluation repository (internal/repo) stores
+// every grid cell's prediction probabilities as one contiguous
+// rows×classes block (internal/atomicio encodes it), and callers that
+// work row by row convert with FlattenRows and UnflattenRows.
 
 // FlattenRows packs row-major probability rows into one contiguous
 // slab of rows×classes values (row i, class j at i*classes+j). Rows
