@@ -238,12 +238,12 @@ func Load(path string) (*Model, ml.Cost, error) {
 func encode(m *Model) ([]byte, error) {
 	spec := &m.Spec
 	caps, params := sortedNames(spec.ComplexityCaps), sortedNames(spec.Params)
-	for _, n := range [...]int{len(spec.Models), len(caps), len(params)} {
-		if n > math.MaxUint16 {
-			return nil, fmt.Errorf("artifact: %d-entry list overflows the format", n)
-		}
-	}
+	// The format's uint16 count and length fields bound every list and
+	// string.
 	for _, list := range [...][]string{{spec.Dataset}, spec.Models, caps, params} {
+		if len(list) > math.MaxUint16 {
+			return nil, fmt.Errorf("artifact: %d-entry list overflows the format", len(list))
+		}
 		for _, s := range list {
 			if len(s) > math.MaxUint16 {
 				return nil, fmt.Errorf("artifact: %d-byte string overflows the format", len(s))

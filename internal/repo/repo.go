@@ -176,9 +176,8 @@ func (r *Repository) Get(fingerprint, key string) (e *Entry, damaged bool, err e
 // must hold a cell of fingerprint and, unless key is empty, of key (a
 // walk learns its keys from the cells). A read failure is an error
 // wrapping its cause (fs.ErrNotExist for a missing file). A cell that
-// does not verify is damaged:
-// with AllowDamage the error is nil (a counted miss), otherwise it
-// wraps ErrDamaged.
+// does not verify is damaged: with AllowDamage the error is nil (a
+// counted miss), otherwise it wraps ErrDamaged.
 func (r *Repository) readCell(path, fingerprint, key string) (e *Entry, damaged bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -348,13 +347,12 @@ func decodeEntry(payload []byte) (*Entry, error) {
 	if magic := d.Bytes(4); !bytes.Equal(magic, cellMagic[:]) {
 		return nil, fmt.Errorf("cell magic %q is not %q", magic, cellMagic[:])
 	}
-	e := &Entry{
-		Fingerprint: string(d.Blob32()),
-		Key:         string(d.Blob32()),
-		System:      string(d.Blob32()),
-		Dataset:     string(d.Blob32()),
-		Score:       math.Float64frombits(d.U64()),
-	}
+	e := &Entry{}
+	e.Fingerprint = string(d.Blob32())
+	e.Key = string(d.Blob32())
+	e.System = string(d.Blob32())
+	e.Dataset = string(d.Blob32())
+	e.Score = math.Float64frombits(d.U64())
 	// Empty blobs decode as nil.
 	if b := d.Blob32(); len(b) > 0 {
 		e.Record = bytes.Clone(b)
