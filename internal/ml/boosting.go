@@ -166,7 +166,7 @@ type classLogits struct {
 	class  int
 }
 
-func (o classLogits) add(_, i int, leaf *treeNode) { o.logits[i][o.class] += o.lr * leaf.value }
+func (o classLogits) add(_, i int, leaf []float64) { o.logits[i][o.class] += o.lr * leaf[0] }
 
 // roundLogits is boosting's predict adder: tree t of the round-major
 // tree list adds its shrunken leaf value into class t%classes.
@@ -176,7 +176,7 @@ type roundLogits struct {
 	classes int
 }
 
-func (o roundLogits) add(t, i int, leaf *treeNode) { o.logits[i][t%o.classes] += o.lr * leaf.value }
+func (o roundLogits) add(t, i int, leaf []float64) { o.logits[i][t%o.classes] += o.lr * leaf[0] }
 
 // Clone implements Classifier.
 func (b *BoostingClassifier) Clone() Classifier { return NewBoostingClassifier(b.Params) }

@@ -102,7 +102,7 @@ func TestSharedPresortIsReadOnly(t *testing.T) {
 		if tree.core.cost != own.core.cost {
 			t.Fatalf("fit %d: cost %+v with the shared presort, %+v without", w, tree.core.cost, own.core.cost)
 		}
-		compareNodes(t, tree.core.nodes, own.core.nodes)
+		compareNodes(t, &tree.core, &own.core)
 	}
 }
 

@@ -126,9 +126,9 @@ func (f *ForestClassifier) PredictProba(x tabular.View) ([][]float64, Cost) {
 // distribution into row i.
 type probaSums [][]float64
 
-func (o probaSums) add(_, i int, leaf *treeNode) {
+func (o probaSums) add(_, i int, leaf []float64) {
 	row := o[i]
-	for j, p := range leaf.proba {
+	for j, p := range leaf {
 		row[j] += p
 	}
 }
@@ -256,8 +256,8 @@ func (f *ForestRegressor) PredictWithStd(x tabular.View) (mean, std []float64, c
 // value and its square into row i.
 type valueMoments struct{ sum, sumSq []float64 }
 
-func (o valueMoments) add(_, i int, leaf *treeNode) {
-	v := leaf.value
+func (o valueMoments) add(_, i int, leaf []float64) {
+	v := leaf[0]
 	o.sum[i] += v
 	o.sumSq[i] += v * v
 }

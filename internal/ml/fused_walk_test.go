@@ -9,9 +9,29 @@ import (
 	"repro/internal/tabular"
 )
 
-// The references below sum single-tree traverse leaves row by row, tree
-// by tree in slice order, with one Cost term per tree — the arithmetic
-// of a loop of per-tree predictions, written without walkRows.
+// The references below sum single-tree leaves row by row, tree by tree
+// in slice order, with one Cost term per tree — the arithmetic of a
+// loop of per-tree predictions, written without walkRows. refLeaf finds
+// each leaf with a plain recursive walk on the <= rule, independent of
+// the branch-free step.
+
+// refLeaf walks view row i down tc and returns the leaf's payload and
+// the number of nodes visited.
+func refLeaf(tc *treeCore, x tabular.View, i int) ([]float64, float64) {
+	var walk func(c int32, visits float64) ([]float64, float64)
+	walk = func(c int32, visits float64) ([]float64, float64) {
+		n := &tc.nodes[c]
+		if math.IsNaN(n.threshold) {
+			off, _ := n.leaf()
+			return tc.leaves[off : off+tc.stride()], visits
+		}
+		if x.At(i, int(n.feature)) <= n.threshold {
+			return walk(n.next, visits+1)
+		}
+		return walk(n.next+1, visits+1)
+	}
+	return walk(0, 1)
+}
 
 func refForestProba(f *ForestClassifier, x tabular.View) ([][]float64, Cost) {
 	out := make([][]float64, x.Rows())
@@ -22,9 +42,9 @@ func refForestProba(f *ForestClassifier, x tabular.View) ([][]float64, Cost) {
 	for _, tree := range f.trees {
 		var visits float64
 		for i := range out {
-			leaf, v := tree.core.traverse(x, i)
+			leaf, v := refLeaf(&tree.core, x, i)
 			visits += v
-			for j, p := range leaf.proba {
+			for j, p := range leaf {
 				out[i][j] += p
 			}
 		}
@@ -46,10 +66,10 @@ func refForestStd(f *ForestRegressor, x tabular.View) (mean, std []float64, cost
 	for _, tree := range f.trees {
 		var visits float64
 		for i := range sums {
-			leaf, v := tree.core.traverse(x, i)
+			leaf, v := refLeaf(&tree.core, x, i)
 			visits += v
-			sums[i] += leaf.value
-			sumSqs[i] += leaf.value * leaf.value
+			sums[i] += leaf[0]
+			sumSqs[i] += leaf[0] * leaf[0]
 		}
 		cost.Add(Cost{Tree: 2 * visits})
 	}
@@ -76,9 +96,9 @@ func refBoostingProba(b *BoostingClassifier, x tabular.View) ([][]float64, Cost)
 		k := t % b.classes
 		var visits float64
 		for i := range out {
-			leaf, v := tree.core.traverse(x, i)
+			leaf, v := refLeaf(&tree.core, x, i)
 			visits += v
-			out[i][k] += b.Params.LearningRate * leaf.value
+			out[i][k] += b.Params.LearningRate * leaf[0]
 		}
 		cost.Add(Cost{Tree: 2 * visits})
 	}
@@ -118,14 +138,85 @@ func sameCost(t *testing.T, got, want Cost) {
 		[]float64{want.Generic, want.Tree, want.Matrix})
 }
 
-// fusedViews returns an n-row contiguous view and an n-row Select view
-// (shuffled rows of a larger frame) of classes-class data.
-func fusedViews(n, classes int) map[string]tabular.View {
+// fusedViews returns three n-row views of classes-class data: a
+// contiguous one, a Select view (shuffled rows of a larger frame) and
+// edgeRows over the contiguous rows and the model's trees.
+func fusedViews(n, classes int, trees []*treeCore) map[string]tabular.View {
 	big := equivDataset(700, 9, classes, uint64(n+classes))
+	contiguous := equivDataset(n, 9, classes, uint64(n*classes)).All()
 	return map[string]tabular.View{
-		"contiguous": equivDataset(n, 9, classes, uint64(n*classes)).All(),
+		"contiguous": contiguous,
 		"select":     big.All().Select(rand.New(rand.NewPCG(uint64(n), 7)).Perm(big.Rows())[:n]),
+		"edges":      edgeRows(contiguous, trees),
 	}
+}
+
+// edgeRows rewrites the rows of base, in turn: cells set exactly to the
+// split thresholds on each tree's path (the first threshold met wins a
+// feature, and equality goes left), NaN cells, ±Inf cells, −0 cells,
+// and an untouched row.
+func edgeRows(base tabular.View, trees []*treeCore) tabular.View {
+	rows := make([][]float64, base.Rows())
+	for r := range rows {
+		row := base.Row(r, nil)
+		for j := range row {
+			switch r % 5 {
+			case 1:
+				if (j+r)%3 == 0 {
+					row[j] = math.NaN()
+				}
+			case 2:
+				switch (j + r) % 3 {
+				case 0:
+					row[j] = math.Inf(1)
+				case 1:
+					row[j] = math.Inf(-1)
+				}
+			case 3:
+				if (j+r)%2 == 0 {
+					row[j] = math.Copysign(0, -1)
+				}
+			}
+		}
+		if r%5 == 0 {
+			pinned := make([]bool, len(row))
+			for _, tc := range trees {
+				for c := int32(0); !math.IsNaN(tc.nodes[c].threshold); {
+					n := tc.nodes[c]
+					if !pinned[n.feature] {
+						pinned[n.feature] = true
+						row[n.feature] = n.threshold
+					}
+					c = n.next
+					if !(row[n.feature] <= n.threshold) {
+						c++
+					}
+				}
+			}
+		}
+		rows[r] = row
+	}
+	return tabular.FromRows(rows)
+}
+
+// treeCores returns an ensemble's fitted trees.
+func treeCores(m any) []*treeCore {
+	var out []*treeCore
+	switch m := m.(type) {
+	case *ForestClassifier:
+		for _, t := range m.trees {
+			out = append(out, &t.core)
+		}
+	case *ForestRegressor:
+		for _, t := range m.trees {
+			out = append(out, &t.core)
+		}
+	case *BoostingClassifier:
+		for _, t := range m.trees {
+			out = append(out, &t.core)
+		}
+	}
+	return out
 }
 
 // TestFusedWalkMatchesPerTree checks that every ensemble's fused walk —
@@ -133,8 +224,9 @@ func fusedViews(n, classes int) map[string]tabular.View {
 // output — yields the per-tree reference bit for bit, Cost included.
 // The row counts put the last block at every edge of kernelBlock (one
 // row, one short of a block, exactly one block, one past it, several
-// blocks), each on a contiguous and a Select view, at parallelism 1 and
-// 4.
+// blocks), each on a contiguous, a Select and an edge-value view, at
+// parallelism 1 and 4. The forest sizes cover every remainder of the
+// four-tree interleave.
 func TestFusedWalkMatchesPerTree(t *testing.T) {
 	rowCounts := []int{1, kernelBlock - 1, kernelBlock, kernelBlock + 1, 600}
 
@@ -154,6 +246,12 @@ func TestFusedWalkMatchesPerTree(t *testing.T) {
 		{"rf", 3, NewForestClassifier(ForestParams{Trees: 7, Bootstrap: true, Tree: TreeParams{MaxDepth: 8}}), forestRef},
 		{"xt", 3, NewForestClassifier(ForestParams{Trees: 7, ExtraTrees: true}), forestRef},
 	}
+	for _, trees := range []int{1, 3, 4, 5, 50} {
+		cases = append(cases, classifierCase{
+			fmt.Sprintf("rf/trees=%d", trees), 3,
+			NewForestClassifier(ForestParams{Trees: trees, Bootstrap: true}), forestRef,
+		})
+	}
 	for _, classes := range []int{2, 5} {
 		for _, sub := range []float64{1, 0.6} {
 			cases = append(cases, classifierCase{
@@ -168,7 +266,7 @@ func TestFusedWalkMatchesPerTree(t *testing.T) {
 			t.Fatalf("%s: fit: %v", c.name, err)
 		}
 		for _, n := range rowCounts {
-			for view, x := range fusedViews(n, c.classes) {
+			for view, x := range fusedViews(n, c.classes, treeCores(c.model)) {
 				wantProba, wantCost := c.ref(c.model, x)
 				for _, p := range []int{1, 4} {
 					t.Run(fmt.Sprintf("%s/rows=%d/%s/p=%d", c.name, n, view, p), func(t *testing.T) {
@@ -193,7 +291,7 @@ func TestFusedWalkMatchesPerTree(t *testing.T) {
 		t.Fatalf("forest regressor fit: %v", err)
 	}
 	for _, n := range rowCounts {
-		for view, x := range fusedViews(n, 2) {
+		for view, x := range fusedViews(n, 2, treeCores(reg)) {
 			wantMean, wantStd, wantCost := refForestStd(reg, x)
 			for _, p := range []int{1, 4} {
 				t.Run(fmt.Sprintf("rf-reg/rows=%d/%s/p=%d", n, view, p), func(t *testing.T) {

@@ -3,6 +3,8 @@ package ml
 import (
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/tabular"
 )
 
 // This file benchmarks the kernel families that previously had no
@@ -74,8 +76,10 @@ func BenchmarkLinearFit(b *testing.B) {
 // BenchmarkEnsemblePredict measures the serving path's predict layer:
 // the fused tree walk under a 50-tree random forest and 50-round
 // gradient boosting, on one row (a closed-loop serving batch) and on
-// one full kernel block. scripts/bench.sh does not select it; CI's
-// benchmark smoke runs it with every other internal/ml benchmark.
+// one full kernel block. The one-row case cycles through the block's
+// distinct rows, each its own one-row frame as a serving batch is: one
+// fixed row would let the branch predictor learn its path and report a
+// walk no real request stream gets.
 func BenchmarkEnsemblePredict(b *testing.B) {
 	train := benchDataset(600, 16, 3, 2)
 	test := benchDataset(kernelBlock, 16, 3, 5)
@@ -87,20 +91,24 @@ func BenchmarkEnsemblePredict(b *testing.B) {
 	if _, err := gbt.Fit(train.All(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
 		b.Fatal(err)
 	}
+	single := make([]tabular.View, test.Rows())
+	for i := range single {
+		single[i] = tabular.FromRows([][]float64{test.All().Row(i, nil)})
+	}
+	block := []tabular.View{test.All()}
 	for _, c := range []struct {
 		name  string
 		model Classifier
-		rows  int
+		xs    []tabular.View
 	}{
-		{"rf/rows=1", rf, 1},
-		{"rf/rows=256", rf, kernelBlock},
-		{"gbt/rows=256", gbt, kernelBlock},
+		{"rf/rows=1", rf, single},
+		{"rf/rows=256", rf, block},
+		{"gbt/rows=256", gbt, block},
 	} {
-		x := test.All().Head(c.rows)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c.model.PredictProba(x)
+				c.model.PredictProba(c.xs[i%len(c.xs)])
 			}
 		})
 	}

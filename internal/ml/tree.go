@@ -61,13 +61,46 @@ func (p TreeParams) tryCount(d int) int {
 	return min(max(int(math.Ceil(p.MaxFeatures*float64(d))), 1), d)
 }
 
-// treeNode is one node of a fitted tree. Leaves have feature == -1.
+// treeNode is one node of a growing tree: build pushes them in
+// preorder into the pooled build buffer, and layout turns the finished
+// buffer into the fitted flatNode form. Leaves have feature == -1 and
+// keep their payload at offset leaf of the pooled leaf slab.
 type treeNode struct {
-	feature     int
 	threshold   float64
+	feature     int32
 	left, right int32
-	proba       []float64 // classification leaf distribution
-	value       float64   // regression leaf value
+	leaf        int32
+	depth       int32
+}
+
+// flatNode is one node of a fitted tree, 16 bytes, laid out breadth
+// first with siblings adjacent: an internal node sends x to
+// nodes[next] when x[feature] <= threshold and to nodes[next+1]
+// otherwise, NaN included. A leaf's threshold is a quiet NaN that
+// carries its payload offset and visit count (see leafThreshold), its
+// feature is 0 and its next is its own index minus one, so the
+// branch-free step next + b2i(!(x <= threshold)) leaves a finished walk
+// where it is. No internal node has a NaN threshold: every row of its
+// node would go right, and an empty left child is never split off.
+type flatNode struct {
+	threshold float64
+	feature   int32
+	next      int32
+}
+
+// leafNaN is the quiet-NaN pattern of a leaf threshold. Its low 32 bits
+// hold the leaf's payload offset and bits 32–39 its visit count: depth
+// + 1, at most 33.
+const leafNaN = 0x7ff8_0000_0000_0000
+
+func leafThreshold(off, visits int32) float64 {
+	return math.Float64frombits(leafNaN | uint64(visits)<<32 | uint64(uint32(off)))
+}
+
+// leaf decodes a leaf node's payload offset and visit count.
+func (n *flatNode) leaf() (off, visits int) {
+	b := math.Float64bits(n.threshold)
+	return int(uint32(b)), int(b >> 32 & 0xff)
 }
 
 // treeCore is the shared CART engine for classification and regression.
@@ -86,30 +119,17 @@ type treeNode struct {
 type treeCore struct {
 	params  TreeParams
 	classes int // 0 for regression
-	nodes   []treeNode
+	// nodes is the fitted tree (see flatNode) and leaves its leaf
+	// payloads: each leaf's class distribution (classes values) or its
+	// regression value, in preorder.
+	nodes   []flatNode
+	leaves  []float64
 	cost    Cost
 	scratch *treeScratch // non-nil only while fit runs
-	// probaArena is the unhanded tail of the current leaf-probability
-	// block; see leafProba.
-	probaArena []float64
 }
 
-// leafProba returns a zeroed class-count vector carved from the proba
-// arena, starting a fresh block when the tail runs out. Leaf vectors
-// are retained by the fitted tree, so they can never come from pooled
-// scratch; block carving turns the one remaining per-node allocation
-// of a fit into one allocation per 64 nodes. Each vector is handed out
-// exactly once (full-capacity slice), so aliasing between nodes is
-// impossible.
-func (tc *treeCore) leafProba() []float64 {
-	k := tc.classes
-	if len(tc.probaArena) < k {
-		tc.probaArena = make([]float64, 64*k)
-	}
-	p := tc.probaArena[:k:k]
-	tc.probaArena = tc.probaArena[k:]
-	return p
-}
+// stride is the width of one leaf payload.
+func (tc *treeCore) stride() int { return max(tc.classes, 1) }
 
 type treeTask struct {
 	v tabular.View
@@ -185,11 +205,36 @@ func (tc *treeCore) fit(task treeTask, rng *rand.Rand) error {
 		tc.presortSegments(task)
 	}
 	tc.build(task, 0, n, 0, rng)
-	// The tree grew in the pooled node buffer; it keeps one exact-size
-	// copy, so no fitted tree carries append's doubling slack.
-	tc.nodes = make([]treeNode, len(s.nodes))
-	copy(tc.nodes, s.nodes)
+	tc.layout()
 	return nil
+}
+
+// layout lays the tree grown in the pooled build buffer out breadth
+// first into its fitted form, at exact size: the queue of preorder
+// indices is the output order, and each internal node's children are
+// queued together, so they land side by side. The leaf slab keeps the
+// build order.
+func (tc *treeCore) layout() {
+	s := tc.scratch
+	src := s.nodes
+	order := sizedI32(s.order, len(src))
+	s.order = order
+	nodes := make([]flatNode, len(src))
+	order[0] = 0
+	tail := int32(1)
+	for p := range nodes {
+		u := &src[order[p]]
+		if u.feature < 0 {
+			nodes[p] = flatNode{threshold: leafThreshold(u.leaf, u.depth+1), next: int32(p) - 1}
+			continue
+		}
+		nodes[p] = flatNode{threshold: u.threshold, feature: u.feature, next: tail}
+		order[tail], order[tail+1] = u.left, u.right
+		tail += 2
+	}
+	tc.nodes = nodes
+	tc.leaves = make([]float64, len(s.leaves))
+	copy(tc.leaves, s.leaves)
 }
 
 // presortSegments sets up the key-segment store: the root presort is
@@ -219,10 +264,12 @@ func (tc *treeCore) build(task treeTask, lo, hi, depth int, rng *rand.Rand) int3
 	m := hi - lo
 	p := tc.params
 
-	node := treeNode{feature: -1}
+	node := treeNode{feature: -1, depth: int32(depth)}
 	pure := false
+	var value float64
 	if tc.classes > 0 {
-		counts := tc.leafProba()
+		counts := s.counts
+		clear(counts)
 		for _, i := range idx {
 			counts[task.y[i]]++
 		}
@@ -236,24 +283,23 @@ func (tc *treeCore) build(task treeTask, lo, hi, depth int, rng *rand.Rand) int3
 		for i := range counts {
 			counts[i] /= float64(m)
 		}
-		node.proba = counts
 	} else {
 		var sum float64
 		for _, i := range idx {
 			sum += task.t[i]
 		}
-		node.value = sum / float64(m)
+		value = sum / float64(m)
 		pure = m <= 1
 	}
 	tc.cost.Tree += float64(m)
 
 	if pure || depth >= p.MaxDepth || m < p.MinSamplesSplit || m < 2*p.MinSamplesLeaf {
-		return tc.push(node)
+		return tc.pushLeaf(node, value)
 	}
 
 	feature, threshold, ok := tc.findSplit(task, lo, hi, rng)
 	if !ok {
-		return tc.push(node)
+		return tc.pushLeaf(node, value)
 	}
 
 	// Stable in-place partition of the shared index buffer: left-going
@@ -282,7 +328,7 @@ func (tc *treeCore) build(task treeTask, lo, hi, depth int, rng *rand.Rand) int3
 	copy(s.idx[nl:hi], s.part[:nr])
 	tc.cost.Tree += float64(m)
 	if nl-lo < p.MinSamplesLeaf || nr < p.MinSamplesLeaf {
-		return tc.push(node)
+		return tc.pushLeaf(node, value)
 	}
 	// Children that cannot split never read their segments.
 	minSplit := max(p.MinSamplesSplit, 2*p.MinSamplesLeaf)
@@ -290,7 +336,7 @@ func (tc *treeCore) build(task treeTask, lo, hi, depth int, rng *rand.Rand) int3
 		tc.partitionSegments(lo, nl, hi)
 	}
 
-	node.feature = feature
+	node.feature = int32(feature)
 	node.threshold = threshold
 	self := tc.push(node)
 	left := tc.build(task, lo, nl, depth+1, rng)
@@ -329,6 +375,21 @@ func (tc *treeCore) partitionSegments(lo, mid, hi int) {
 		}
 		copy(dst[nl:], spill[:nr])
 	}
+}
+
+// pushLeaf appends leaf n to the pooled node buffer, with its payload
+// — the class distribution in the counts scratch, or value — appended to
+// the pooled leaf slab, and returns its index. Only leaves keep a
+// payload: an internal node's distribution dies with its build call.
+func (tc *treeCore) pushLeaf(n treeNode, value float64) int32 {
+	s := tc.scratch
+	n.leaf = int32(len(s.leaves))
+	if tc.classes > 0 {
+		s.leaves = append(s.leaves, s.counts...)
+	} else {
+		s.leaves = append(s.leaves, value)
+	}
+	return tc.push(n)
 }
 
 // push appends n to the pooled node buffer and returns its index.
@@ -617,51 +678,29 @@ func (tc *treeCore) impurity(counts []float64, total float64) float64 {
 	return 1 - sumSq
 }
 
-// traverse walks view row i to its leaf and returns the leaf node plus
-// the traversal cost in node visits. Each node reads a single cell from
-// the feature's column — no row materialization.
-func (tc *treeCore) traverse(v tabular.View, i int) (*treeNode, float64) {
-	if len(tc.nodes) == 0 {
-		return nil, 0
-	}
-	cur := int32(0)
-	visits := 1.0
-	for {
-		n := &tc.nodes[cur]
-		if n.feature < 0 {
-			return n, visits
-		}
-		if v.At(i, n.feature) <= n.threshold {
-			cur = n.left
-		} else {
-			cur = n.right
-		}
-		visits++
-	}
-}
-
 // leafTree is a fitted tree the fused predict walk can traverse.
 type leafTree interface{ leafCore() *treeCore }
 
 func (t *TreeClassifier) leafCore() *treeCore { return &t.core }
 func (t *TreeRegressor) leafCore() *treeCore  { return &t.core }
 
-// leafAdder accumulates the leaf that view row i reaches in trees[t]
+// leafAdder accumulates the leaf payload that view row i reaches in
+// trees[t] — a class distribution, or a one-value regression payload —
 // straight into the caller's output, writing only row i's slots. The
 // adders are small value types over heap-owned outputs rather than
 // closures: walkRows runs them without a closure at parallelism 1, so a
 // predict allocates nothing beyond its output.
 type leafAdder interface {
-	add(t, i int, leaf *treeNode)
+	add(t, i int, leaf []float64)
 }
 
 // walkRows is the one predict walk of every tree model — single trees,
 // both forests, and gradient boosting at predict and at fit. It hands
 // the leaf that view row i reaches in trees[t] to add.add(t, i, leaf).
 // Row blocks run in parallel under the package Parallelism knob; inside
-// a block walkBlock visits the trees in slice order, so every output
-// element receives its per-tree terms in tree order — the same +=
-// sequence as a loop of per-tree predictions, with one output instead
+// a block walkBlock hands each row its leaves in tree order, so every
+// output element receives its per-tree terms in tree order — the same
+// += sequence as a loop of per-tree predictions, with one output instead
 // of one per tree. It returns the total node visits, summed over the
 // blocks in block order: visit counts are integer-valued floats, so any
 // grouping of them sums exactly.
@@ -685,33 +724,126 @@ func walkRows[T leafTree, A leafAdder](trees []T, x tabular.View, add A) float64
 	return visits
 }
 
-// walkBlock walks rows [lo,hi) through every tree, tree by tree in
-// slice order, and returns the block's node visits.
+// gatherCells is the size of walkBlock's stack buffer of gathered rows.
+const gatherCells = 1024
+
+// walkBlock walks rows [lo,hi) through every tree and returns the
+// block's node visits. It gathers as many rows as its stack buffer
+// holds into row-major order, then walks them four trees at a time in
+// lockstep (walk4) and the last len(trees)%4 trees one by one (walk1),
+// handing each row its leaves in tree order. A row wider than the
+// buffer goes through a heap row of its own.
 //
 //greenlint:hotpath per-block tree walk under every ensemble predict; add writes caller-owned output
 func walkBlock[T leafTree, A leafAdder](trees []T, x tabular.View, lo, hi int, add A) float64 {
-	var visits float64
-	for t, tree := range trees {
-		tc := tree.leafCore()
-		for i := lo; i < hi; i++ {
-			leaf, v := tc.traverse(x, i)
-			visits += v
-			add.add(t, i, leaf)
+	d := max(x.Features(), 1)
+	var stack [gatherCells]float64
+	buf := stack[:]
+	chunk := len(buf) / d
+	if chunk == 0 {
+		buf = make([]float64, d) //greenlint:allow hotalloc rows wider than the stack buffer; one row per call, beyond any served model's width
+		chunk = 1
+	}
+	visits := 0
+	for clo := lo; clo < hi; clo += chunk {
+		chi := min(clo+chunk, hi)
+		rows := gatherRows(x, clo, chi, d, buf)
+		t := 0
+		for ; t+4 <= len(trees); t += 4 {
+			a, b, c, e := trees[t].leafCore(), trees[t+1].leafCore(), trees[t+2].leafCore(), trees[t+3].leafCore()
+			for r := 0; r < chi-clo; r++ {
+				la, lb, lc, le := walk4(a.nodes, b.nodes, c.nodes, e.nodes, rows[r*d:(r+1)*d])
+				visits += addLeaf(a, la, t, clo+r, add) + addLeaf(b, lb, t+1, clo+r, add) +
+					addLeaf(c, lc, t+2, clo+r, add) + addLeaf(e, le, t+3, clo+r, add)
+			}
+		}
+		for ; t < len(trees); t++ {
+			tc := trees[t].leafCore()
+			for r := 0; r < chi-clo; r++ {
+				visits += addLeaf(tc, walk1(tc.nodes, rows[r*d:(r+1)*d]), t, clo+r, add)
+			}
 		}
 	}
+	return float64(visits)
+}
+
+// gatherRows copies view rows [lo,hi) into buf in row-major order,
+// stride d, column by column, and returns the filled part.
+func gatherRows(x tabular.View, lo, hi, d int, buf []float64) []float64 {
+	rows := buf[:(hi-lo)*d]
+	idx := x.Indices()
+	for f, col := range x.Frame().Cols {
+		if idx == nil {
+			for r, v := range col[lo:hi] {
+				rows[r*d+f] = v
+			}
+			continue
+		}
+		for r, i := range idx[lo:hi] {
+			rows[r*d+f] = col[i]
+		}
+	}
+	return rows
+}
+
+// addLeaf hands leaf node c of tc, reached by view row i in trees[t],
+// to add and returns its visit count.
+func addLeaf[A leafAdder](tc *treeCore, c int32, t, i int, add A) int {
+	off, visits := tc.nodes[c].leaf()
+	k := tc.stride()
+	add.add(t, i, tc.leaves[off:off+k:off+k])
 	return visits
+}
+
+// step is one branch-free move: to next when x <= threshold, else to
+// next+1, NaN included. A leaf steps onto itself.
+func step(n *flatNode, row []float64) int32 {
+	return n.next + b2i(!(row[n.feature] <= n.threshold))
+}
+
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// walk1 walks row through one tree and returns its leaf's index.
+func walk1(nodes []flatNode, row []float64) int32 {
+	var c int32
+	for {
+		next := step(&nodes[c], row)
+		if next == c {
+			return c
+		}
+		c = next
+	}
+}
+
+// walk4 walks row through four trees in lockstep and returns their
+// leaves' indices. The four dependency chains overlap in the pipeline,
+// and a tree that reaches its leaf first steps in place until the last
+// one does; the only branch is the loop exit.
+func walk4(n0, n1, n2, n3 []flatNode, row []float64) (c0, c1, c2, c3 int32) {
+	for {
+		x0, x1, x2, x3 := step(&n0[c0], row), step(&n1[c1], row), step(&n2[c2], row), step(&n3[c3], row)
+		if (x0^c0)|(x1^c1)|(x2^c2)|(x3^c3) == 0 {
+			return c0, c1, c2, c3
+		}
+		c0, c1, c2, c3 = x0, x1, x2, x3
+	}
 }
 
 // leafProbas is a single classification tree's adder: row i's answer is
 // its leaf's own distribution, shared read-only with the fitted tree.
 type leafProbas [][]float64
 
-func (o leafProbas) add(_, i int, leaf *treeNode) { o[i] = leaf.proba }
+func (o leafProbas) add(_, i int, leaf []float64) { o[i] = leaf }
 
 // leafValues is a single regression tree's adder.
 type leafValues []float64
 
-func (o leafValues) add(_, i int, leaf *treeNode) { o[i] = leaf.value }
+func (o leafValues) add(_, i int, leaf []float64) { o[i] = leaf[0] }
 
 // NodeCount reports the number of nodes in the fitted tree.
 func (tc *treeCore) NodeCount() int { return len(tc.nodes) }

@@ -149,7 +149,7 @@ func checkKernelMatchesLegacy(t *testing.T, classes int, p TreeParams, seed uint
 	if newCore.cost != oldCore.cost {
 		t.Fatalf("cost diverged: new %+v legacy %+v", newCore.cost, oldCore.cost)
 	}
-	compareNodes(t, newCore.nodes, oldCore.nodes)
+	compareNodes(t, &newCore, oldCore.compact())
 	// Both kernels must leave the RNG in the same state — a hidden extra
 	// draw would desync every later model in a pipeline.
 	if a, b := rngNew.Uint64(), rngOld.Uint64(); a != b {
@@ -251,7 +251,7 @@ func FuzzTreeRegressionMatchesLegacy(f *testing.F) {
 		if newCore.cost != oldCore.cost {
 			t.Fatalf("cost diverged: new %+v legacy %+v", newCore.cost, oldCore.cost)
 		}
-		compareNodes(t, newCore.nodes, oldCore.nodes)
+		compareNodes(t, &newCore, oldCore.compact())
 		if a, b := rngNew.Uint64(), rngOld.Uint64(); a != b {
 			t.Fatalf("RNG streams diverged after fit: %d vs %d", a, b)
 		}
@@ -303,30 +303,39 @@ func encodeFuzzRows(ds *tabular.Frame) []byte {
 	return raw
 }
 
-func compareNodes(t *testing.T, got, want []treeNode) {
+// compareNodes compares two fitted trees field by field: every node's
+// feature and next, every internal threshold bit for bit, and at every
+// leaf the visit count and the payload it points to, bit for bit.
+// Internal nodes keep no distribution, so there is none to compare.
+func compareNodes(t *testing.T, got, want *treeCore) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("node count diverged: new %d legacy %d", len(got), len(want))
+	if len(got.nodes) != len(want.nodes) {
+		t.Fatalf("node count diverged: new %d legacy %d", len(got.nodes), len(want.nodes))
 	}
-	for i := range got {
-		g, w := got[i], want[i]
-		if g.feature != w.feature || g.left != w.left || g.right != w.right {
-			t.Fatalf("node %d structure diverged: new %+v legacy %+v", i, g, w)
+	for i := range got.nodes {
+		g, w := &got.nodes[i], &want.nodes[i]
+		if g.feature != w.feature || g.next != w.next {
+			t.Fatalf("node %d structure diverged: new %+v legacy %+v", i, *g, *w)
 		}
-		if math.Float64bits(g.threshold) != math.Float64bits(w.threshold) {
-			t.Fatalf("node %d threshold diverged: %v vs %v", i, g.threshold, w.threshold)
+		if math.IsNaN(g.threshold) != math.IsNaN(w.threshold) {
+			t.Fatalf("node %d: leaf in one tree, split in the other", i)
 		}
-		if math.Float64bits(g.value) != math.Float64bits(w.value) {
-			t.Fatalf("node %d value diverged: %v vs %v", i, g.value, w.value)
-		}
-		if len(g.proba) != len(w.proba) {
-			t.Fatalf("node %d proba length diverged", i)
-		}
-		for c := range g.proba {
-			if math.Float64bits(g.proba[c]) != math.Float64bits(w.proba[c]) {
-				t.Fatalf("node %d proba[%d] diverged: %v vs %v", i, c, g.proba[c], w.proba[c])
+		if !math.IsNaN(g.threshold) {
+			if math.Float64bits(g.threshold) != math.Float64bits(w.threshold) {
+				t.Fatalf("node %d threshold diverged: %v vs %v", i, g.threshold, w.threshold)
 			}
+			continue
 		}
+		goff, gv := g.leaf()
+		woff, wv := w.leaf()
+		if gv != wv {
+			t.Fatalf("node %d visits diverged: %d vs %d", i, gv, wv)
+		}
+		k := got.stride()
+		sameBits(t, fmt.Sprintf("node %d leaf payload", i), got.leaves[goff:goff+k], want.leaves[woff:woff+k])
+	}
+	if len(got.leaves) != len(want.leaves) {
+		t.Fatalf("leaf slab length diverged: %d vs %d", len(got.leaves), len(want.leaves))
 	}
 }
 

@@ -21,10 +21,20 @@ type legacyTreeTask struct {
 	t []float64
 }
 
+// legacyNode is the historical fitted node: every node, internal or
+// not, keeps its own class distribution or mean.
+type legacyNode struct {
+	feature     int
+	threshold   float64
+	left, right int32
+	proba       []float64 // classification leaf distribution
+	value       float64   // regression leaf value
+}
+
 type legacyTreeCore struct {
 	params  TreeParams
 	classes int
-	nodes   []treeNode
+	nodes   []legacyNode
 	cost    Cost
 }
 
@@ -50,11 +60,52 @@ func (tc *legacyTreeCore) fit(task legacyTreeTask, rng *rand.Rand) error {
 	return nil
 }
 
+// compact converts the legacy preorder tree into the fitted flatNode
+// form, written out independently of treeCore.layout: a breadth-first
+// queue assigns positions, each split's children take the next two,
+// and leaves carry their visit count and the offset of their payload,
+// appended to the slab in preorder.
+func (tc *legacyTreeCore) compact() *treeCore {
+	out := &treeCore{classes: tc.classes, nodes: make([]flatNode, len(tc.nodes))}
+	offsets := map[int32]int32{}
+	var preorder func(i int32)
+	preorder = func(i int32) {
+		n := tc.nodes[i]
+		if n.feature < 0 {
+			offsets[i] = int32(len(out.leaves))
+			if tc.classes > 0 {
+				out.leaves = append(out.leaves, n.proba...)
+			} else {
+				out.leaves = append(out.leaves, n.value)
+			}
+			return
+		}
+		preorder(n.left)
+		preorder(n.right)
+	}
+	if len(tc.nodes) > 0 {
+		preorder(0)
+	}
+	type item struct{ src, depth int32 }
+	queue := []item{{0, 0}}
+	for p := 0; p < len(queue); p++ {
+		it := queue[p]
+		n := tc.nodes[it.src]
+		if n.feature < 0 {
+			out.nodes[p] = flatNode{threshold: leafThreshold(offsets[it.src], it.depth+1), next: int32(p - 1)}
+			continue
+		}
+		out.nodes[p] = flatNode{threshold: n.threshold, feature: int32(n.feature), next: int32(len(queue))}
+		queue = append(queue, item{n.left, it.depth + 1}, item{n.right, it.depth + 1})
+	}
+	return out
+}
+
 func (tc *legacyTreeCore) build(task legacyTreeTask, idx []int, depth int, rng *rand.Rand) int32 {
 	m := len(idx)
 	p := tc.params
 
-	node := treeNode{feature: -1}
+	node := legacyNode{feature: -1}
 	pure := false
 	if tc.classes > 0 {
 		counts := make([]float64, tc.classes)
@@ -114,7 +165,7 @@ func (tc *legacyTreeCore) build(task legacyTreeTask, idx []int, depth int, rng *
 	return self
 }
 
-func (tc *legacyTreeCore) push(n treeNode) int32 {
+func (tc *legacyTreeCore) push(n legacyNode) int32 {
 	tc.nodes = append(tc.nodes, n)
 	return int32(len(tc.nodes) - 1)
 }

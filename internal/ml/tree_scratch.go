@@ -9,8 +9,8 @@ import (
 // treeScratch is the reusable working memory of one treeCore.fit: the
 // column-major feature cache, the presorted key segments that nodes
 // partition down to their children, the shared node index buffer that
-// split partitioning rearranges in place, the node buffer the tree grows
-// in, and assorted per-split scratch. Instances are pooled so forests, boosting rounds and
+// split partitioning rearranges in place, the node and leaf buffers the
+// tree grows in, and assorted per-split scratch. Instances are pooled so forests, boosting rounds and
 // surrogate fits reuse the same memory instead of re-allocating per
 // tree.
 type treeScratch struct {
@@ -48,9 +48,14 @@ type treeScratch struct {
 	perm []int
 	// left/right/all are class-count scratch for split scoring.
 	left, right, all []float64
-	// nodes is the buffer build pushes the growing tree into; fit copies
-	// the finished tree out at its exact size.
-	nodes []treeNode
+	// counts is the class-count scratch of the node being built.
+	counts []float64
+	// nodes and leaves are the buffers build pushes the growing tree and
+	// its leaf payloads into; layout copies the finished tree out at its
+	// exact size, in breadth-first order through the order queue.
+	nodes  []treeNode
+	leaves []float64
+	order  []int32
 }
 
 var treeScratchPool = sync.Pool{New: func() any { return new(treeScratch) }}
@@ -79,7 +84,9 @@ func getTreeScratch(n, d, classes int, needGather, segments bool) *treeScratch {
 	s.left = sizedF64(s.left, classes)
 	s.right = sizedF64(s.right, classes)
 	s.all = sizedF64(s.all, classes)
+	s.counts = sizedF64(s.counts, classes)
 	s.nodes = s.nodes[:0]
+	s.leaves = s.leaves[:0]
 	return s
 }
 
@@ -88,10 +95,6 @@ func putTreeScratch(s *treeScratch) {
 		s.colref[f] = nil // drop frame-column aliases
 	}
 	s.root = nil // drop a shared presort
-	// Drop the leaf vectors the last tree's nodes point into, so pooled
-	// scratch does not pin that tree's proba arena.
-	clear(s.nodes)
-	s.nodes = s.nodes[:0]
 	treeScratchPool.Put(s)
 }
 

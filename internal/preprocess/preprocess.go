@@ -92,9 +92,11 @@ func (im *Imputer) FitTransform(ds tabular.View, _ *rand.Rand) (tabular.View, ml
 	if !ds.Contiguous() {
 		colBuf = make([]float64, n)
 	}
+	// One buffer holds each column's non-NaN values in turn.
+	values := make([]float64, 0, n)
 	for j := 0; j < d; j++ {
 		col := ds.ColInto(j, colBuf)
-		var values []float64
+		values = values[:0]
 		for _, v := range col {
 			if !math.IsNaN(v) {
 				values = append(values, v)

@@ -33,7 +33,7 @@ RAW_GRID=$(mktemp)
 trap 'rm -f "$RAW_ML" "$RAW_GRID"' EXIT
 
 echo "benchmarking ml kernels (internal/ml)..." >&2
-go test -run '^$' -bench 'BenchmarkTreeCore|BenchmarkForestFit|BenchmarkKNN|BenchmarkMLPFit|BenchmarkLinearFit' \
+go test -run '^$' -bench 'BenchmarkTreeCore|BenchmarkForestFit|BenchmarkKNN|BenchmarkMLPFit|BenchmarkLinearFit|BenchmarkEnsemblePredict' \
     -benchtime "$BENCHTIME" -count "$BENCHCOUNT" ./internal/ml/ | tee "$RAW_ML" >&2
 
 echo "benchmarking grid scheduler (internal/bench)..." >&2
