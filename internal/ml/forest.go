@@ -45,60 +45,83 @@ func NewForestClassifier(p ForestParams) *ForestClassifier {
 	return &ForestClassifier{Params: p}
 }
 
-// Fit implements Classifier. Trees fit in parallel under the package
-// Parallelism knob with pre-split RNG streams: the parent stream is
-// consumed sequentially up front — one PCG seed pair per tree, in tree
-// order — so each tree owns an independent deterministic stream
-// regardless of which worker fits it when, and results reduce from
-// tree-indexed slots in tree order. Outputs are therefore bit-identical
-// at every parallelism level.
-func (f *ForestClassifier) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) {
+// Fit implements Classifier with fitTrees.
+func (f *ForestClassifier) Fit(ds tabular.View, rng *rand.Rand) (cost Cost, err error) {
 	p := f.Params.normalized(ds.Features())
 	f.classes = ds.Classes()
-	n := ds.Rows()
+	f.trees, cost, err = fitTrees(p, ds, nil, rng, "forest", func(xs tabular.View, _ []float64, trng *rand.Rand) (*TreeClassifier, Cost, error) {
+		tree := NewTreeClassifier(p.Tree)
+		c, err := tree.Fit(xs, trng)
+		return tree, c, err
+	})
+	return cost, err
+}
+
+// fitTrees is the forest fit loop. Trees fit in parallel under the
+// package Parallelism knob with pre-split RNG streams: the parent stream
+// is consumed sequentially up front — one PCG seed pair per tree, in
+// tree order — so each tree owns an independent deterministic stream
+// regardless of which worker fits it when, and results reduce from
+// tree-indexed slots in tree order. Outputs are therefore bit-identical
+// at every parallelism level. Under p.Bootstrap each tree fits a
+// resample of x's rows, and of y when y is non-nil, drawn from its own
+// stream. The first error wins: fitTrees returns the trees before it,
+// their cost, and the error wrapped under kind.
+func fitTrees[T any](p ForestParams, x tabular.View, y []float64, rng *rand.Rand, kind string,
+	fit func(x tabular.View, y []float64, trng *rand.Rand) (T, Cost, error)) ([]T, Cost, error) {
+	n := x.Rows()
 	seeds := make([][2]uint64, p.Trees)
 	for i := range seeds {
 		seeds[i] = [2]uint64{rng.Uint64(), rng.Uint64()}
 	}
-	trees := make([]*TreeClassifier, p.Trees)
+	trees := make([]T, p.Trees)
 	costs := make([]Cost, p.Trees)
 	errs := make([]error, p.Trees)
-	// Per-worker bootstrap index buffers (same draws as View.Bootstrap):
-	// the tree kernel gathers the view into its column cache, so a
-	// worker can overwrite its buffer for its next tree.
-	bootBufs := make([][]int, Parallelism())
+	// Per-worker scratch: a tree's stream (a Rand over a PCG reseeded
+	// per tree, which draws exactly as a fresh one) and its bootstrap
+	// resample buffers. A fitted tree keeps neither, since the kernel
+	// gathers what it needs into its column cache, so a worker can
+	// overwrite its scratch for its next tree.
+	type scratch struct {
+		pcg rand.PCG
+		rng *rand.Rand
+		idx []int
+		y   []float64
+	}
+	work := make([]scratch, Parallelism())
 	runIndexed(p.Trees, func(w, i int) {
-		trng := rand.New(rand.NewPCG(seeds[i][0], seeds[i][1]))
-		tree := NewTreeClassifier(p.Tree)
-		data := ds
+		ws := &work[w]
+		if ws.rng == nil {
+			ws.rng = rand.New(&ws.pcg)
+		}
+		ws.pcg.Seed(seeds[i][0], seeds[i][1])
+		xs, ys := x, y
 		if p.Bootstrap {
-			bootIdx := bootBufs[w]
-			if bootIdx == nil {
-				bootIdx = make([]int, n)
-				bootBufs[w] = bootIdx
+			if ws.idx == nil {
+				ws.idx, ws.y = make([]int, n), make([]float64, len(y))
 			}
-			for j := range bootIdx {
-				bootIdx[j] = ds.RowIndex(trng.IntN(n))
+			for j := range ws.idx {
+				r := ws.rng.IntN(n)
+				ws.idx[j] = x.RowIndex(r)
+				if y != nil {
+					ws.y[j] = y[r]
+				}
 			}
 			costs[i].Generic += float64(n)
-			data = tabular.NewView(ds.Frame(), bootIdx)
+			xs, ys = tabular.NewView(x.Frame(), ws.idx), ws.y
 		}
-		c, err := tree.Fit(data, trng)
+		tree, c, err := fit(xs, ys, ws.rng)
 		costs[i].Add(c)
 		trees[i], errs[i] = tree, err
 	})
-	// Fixed reduction in tree order; the first error wins, counting only
-	// the cost of the trees before it (the historical early-stop shape).
 	var cost Cost
-	f.trees = f.trees[:0]
-	for i := 0; i < p.Trees; i++ {
-		if errs[i] != nil {
-			return cost, fmt.Errorf("ml: forest tree %d: %w", i, errs[i])
+	for i, err := range errs {
+		if err != nil {
+			return trees[:i], cost, fmt.Errorf("ml: %s tree %d: %w", kind, i, err)
 		}
 		cost.Add(costs[i])
-		f.trees = append(f.trees, trees[i])
 	}
-	return cost, nil
+	return trees, cost, nil
 }
 
 // PredictProba implements Classifier by averaging tree leaf
@@ -166,62 +189,18 @@ func NewForestRegressor(p ForestParams) *ForestRegressor {
 	return &ForestRegressor{Params: p}
 }
 
-// FitReg implements Regressor. Trees fit in parallel with pre-split
-// RNG streams and tree-order reduction, exactly like
-// ForestClassifier.Fit.
-func (f *ForestRegressor) FitReg(x tabular.View, y []float64, rng *rand.Rand) (Cost, error) {
-	n := x.Rows()
-	if n == 0 {
+// FitReg implements Regressor with fitTrees.
+func (f *ForestRegressor) FitReg(x tabular.View, y []float64, rng *rand.Rand) (cost Cost, err error) {
+	if x.Rows() == 0 {
 		return Cost{}, fmt.Errorf("ml: forest regressor fit on empty data")
 	}
 	p := f.Params.normalized(x.Features())
-	seeds := make([][2]uint64, p.Trees)
-	for i := range seeds {
-		seeds[i] = [2]uint64{rng.Uint64(), rng.Uint64()}
-	}
-	trees := make([]*TreeRegressor, p.Trees)
-	costs := make([]Cost, p.Trees)
-	errs := make([]error, p.Trees)
-	// Per-worker bootstrap resample buffers: the tree kernel gathers
-	// what it needs into its column cache, so a worker can overwrite
-	// its buffers for its next tree.
-	type bootBuf struct {
-		idx []int
-		y   []float64
-	}
-	bootBufs := make([]*bootBuf, Parallelism())
-	runIndexed(p.Trees, func(w, i int) {
-		trng := rand.New(rand.NewPCG(seeds[i][0], seeds[i][1]))
+	f.trees, cost, err = fitTrees(p, x, y, rng, "forest regressor", func(xs tabular.View, ys []float64, trng *rand.Rand) (*TreeRegressor, Cost, error) {
 		tree := NewTreeRegressor(p.Tree)
-		xs, ys := x, y
-		if p.Bootstrap {
-			bb := bootBufs[w]
-			if bb == nil {
-				bb = &bootBuf{idx: make([]int, n), y: make([]float64, len(y))}
-				bootBufs[w] = bb
-			}
-			for j := range bb.idx {
-				r := trng.IntN(n)
-				bb.idx[j] = x.RowIndex(r)
-				bb.y[j] = y[r]
-			}
-			costs[i].Generic += float64(n)
-			xs, ys = tabular.NewView(x.Frame(), bb.idx), bb.y
-		}
 		c, err := tree.FitReg(xs, ys, trng)
-		costs[i].Add(c)
-		trees[i], errs[i] = tree, err
+		return tree, c, err
 	})
-	var cost Cost
-	f.trees = f.trees[:0]
-	for i := 0; i < p.Trees; i++ {
-		if errs[i] != nil {
-			return cost, fmt.Errorf("ml: forest regressor tree %d: %w", i, errs[i])
-		}
-		cost.Add(costs[i])
-		f.trees = append(f.trees, trees[i])
-	}
-	return cost, nil
+	return cost, err
 }
 
 // PredictReg implements Regressor by averaging tree predictions.

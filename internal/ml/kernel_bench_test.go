@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 // This file benchmarks the kernel families that previously had no
 // recorded baseline — kNN, MLP and the SGD linear models — plus the
-// within-fit parallel paths. Together with tree_bench_test.go they are
+// within-fit parallel paths and the row-wise predict loop. Together with tree_bench_test.go they are
 // the inputs of scripts/bench.sh, which folds min-of-N runs into
 // BENCH_4.json and gates kernel PRs on regressions.
 
@@ -111,5 +112,35 @@ func BenchmarkEnsemblePredict(b *testing.B) {
 				c.model.PredictProba(c.xs[i%len(c.xs)])
 			}
 		})
+	}
+}
+
+// BenchmarkRowwisePredict measures the row-wise predict loop that the
+// naive Bayes, linear and MLP models share, on one row (a closed-loop
+// serving batch) and on one full kernel block. It is not one of
+// scripts/bench.sh's inputs: run it with -bench BenchmarkRowwisePredict.
+func BenchmarkRowwisePredict(b *testing.B) {
+	train := benchDataset(600, 16, 3, 2)
+	test := benchDataset(kernelBlock, 16, 3, 5)
+	one := tabular.FromRows([][]float64{test.All().Row(0, nil)})
+	for _, m := range []struct {
+		name  string
+		model Classifier
+	}{
+		{"gnb", NewGaussianNB()},
+		{"logreg", NewLogisticRegression(LinearParams{Epochs: 10})},
+		{"mlp", NewMLP(MLPParams{Hidden: []int{32}, Epochs: 5})},
+	} {
+		if _, err := m.model.Fit(train.All(), rand.New(rand.NewPCG(9, 0x11))); err != nil {
+			b.Fatal(err)
+		}
+		for _, x := range []tabular.View{one, test.All()} {
+			b.Run(fmt.Sprintf("%s/rows=%d", m.name, x.Rows()), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m.model.PredictProba(x)
+				}
+			})
+		}
 	}
 }

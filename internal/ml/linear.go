@@ -30,44 +30,40 @@ func (p LinearParams) normalized() LinearParams {
 	return p
 }
 
-// linearCore holds a fitted linear model: one weight row plus bias per
-// class.
-type linearCore struct {
+// LinearModel is a linear classifier trained with SGD: one weight row
+// plus bias per class. Under the log loss it is multinomial logistic
+// regression; under the hinge loss it is a one-vs-rest linear
+// support-vector classifier. Either way probabilities are a softmax
+// over the class scores.
+type LinearModel struct {
+	Params  LinearParams
+	hinge   bool
 	weights [][]float64
 	bias    []float64
-}
-
-func (lc *linearCore) logits(row []float64, out []float64) {
-	for k := range lc.weights {
-		var dot float64
-		w := lc.weights[k]
-		for j, v := range row {
-			dot += w[j] * v
-		}
-		out[k] = dot + lc.bias[k]
-	}
-}
-
-// LogisticRegression is a multinomial logistic-regression classifier
-// trained with SGD.
-type LogisticRegression struct {
-	Params  LinearParams
-	core    linearCore
 	classes int
 }
 
 // NewLogisticRegression constructs a logistic-regression classifier.
-func NewLogisticRegression(p LinearParams) *LogisticRegression {
-	return &LogisticRegression{Params: p}
+func NewLogisticRegression(p LinearParams) *LinearModel {
+	return &LinearModel{Params: p}
+}
+
+// NewLinearSVM constructs a linear SVM classifier.
+func NewLinearSVM(p LinearParams) *LinearModel {
+	return &LinearModel{Params: p, hinge: true}
 }
 
 // Fit implements Classifier.
-func (lr *LogisticRegression) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) {
-	p := lr.Params.normalized()
-	lr.Params = p
+func (lm *LinearModel) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) {
+	p := lm.Params.normalized()
+	lm.Params = p
 	n, d, k := ds.Rows(), ds.Features(), ds.Classes()
-	lr.classes = k
-	lr.core = newLinearCore(k, d)
+	lm.classes = k
+	lm.weights = make([][]float64, k) //greenlint:allow rowmajor class-by-feature weight matrix - model parameters
+	for c := range lm.weights {
+		lm.weights[c] = make([]float64, d)
+	}
+	lm.bias = make([]float64, k)
 
 	labels := ds.LabelsInto(nil)
 	proba := make([]float64, k)
@@ -78,153 +74,99 @@ func (lr *LogisticRegression) Fit(ds tabular.View, rng *rand.Rand) (Cost, error)
 			step++
 			row := ds.Row(i, rowBuf)
 			rowBuf = row
-			lr.core.logits(row, proba)
-			softmaxInPlace(proba)
 			eta := p.LearningRate / (1 + 0.01*float64(step))
-			for c := 0; c < k; c++ {
-				grad := proba[c]
-				if labels[i] == c {
-					grad -= 1
-				}
-				w := lr.core.weights[c]
-				for j, v := range row {
-					w[j] -= eta * (grad*v + p.L2*w[j])
-				}
-				lr.core.bias[c] -= eta * grad
+			if lm.hinge {
+				lm.hingeStep(row, labels[i], eta, p.L2)
+			} else {
+				lm.logStep(row, labels[i], eta, p.L2, proba)
 			}
 		}
 	}
-	return Cost{Generic: float64(p.Epochs) * float64(n) * float64(d) * float64(k) * 4}, nil
+	flopsPerWeight := 4.0
+	if lm.hinge {
+		flopsPerWeight = 3
+	}
+	return Cost{Generic: float64(p.Epochs) * float64(n) * float64(d) * float64(k) * flopsPerWeight}, nil
+}
+
+// logStep is one softmax cross-entropy SGD update on row, whose class
+// is label; proba is k-wide scratch.
+func (lm *LinearModel) logStep(row []float64, label int, eta, l2 float64, proba []float64) {
+	lm.logits(row, proba)
+	softmaxInPlace(proba)
+	for c, w := range lm.weights {
+		grad := proba[c]
+		if label == c {
+			grad -= 1
+		}
+		for j, v := range row {
+			w[j] -= eta * (grad*v + l2*w[j])
+		}
+		lm.bias[c] -= eta * grad
+	}
+}
+
+// hingeStep is one one-vs-rest hinge-loss SGD update on row, whose
+// class is label.
+func (lm *LinearModel) hingeStep(row []float64, label int, eta, l2 float64) {
+	for c, w := range lm.weights {
+		target := -1.0
+		if label == c {
+			target = 1.0
+		}
+		var margin float64
+		for j, v := range row {
+			margin += w[j] * v
+		}
+		margin = target * (margin + lm.bias[c])
+		if margin < 1 {
+			for j, v := range row {
+				w[j] -= eta * (-target*v + l2*w[j])
+			}
+			lm.bias[c] += eta * target
+		} else if l2 > 0 {
+			for j := range w {
+				w[j] -= eta * l2 * w[j]
+			}
+		}
+	}
+}
+
+func (lm *LinearModel) logits(row []float64, out []float64) {
+	for k, w := range lm.weights {
+		var dot float64
+		for j, v := range row {
+			dot += w[j] * v
+		}
+		out[k] = dot + lm.bias[k]
+	}
 }
 
 // PredictProba implements Classifier.
-func (lr *LogisticRegression) PredictProba(x tabular.View) ([][]float64, Cost) {
+func (lm *LinearModel) PredictProba(x tabular.View) ([][]float64, Cost) {
 	m := x.Rows()
-	if len(lr.core.weights) == 0 {
-		return uniformProba(m, max(lr.classes, 2)), Cost{}
+	if len(lm.weights) == 0 {
+		return uniformProba(m, max(lm.classes, 2)), Cost{}
 	}
-	out := make([][]float64, m) //greenlint:allow rowmajor proba output rows, class-wide not feature-wide
-	d := x.Features()
-	var rowBuf []float64
-	for i := 0; i < m; i++ {
-		row := x.Row(i, rowBuf)
-		rowBuf = row
-		proba := make([]float64, lr.classes)
-		lr.core.logits(row, proba)
+	out := predictRows(x, lm.classes, func(row, proba []float64) {
+		lm.logits(row, proba)
 		softmaxInPlace(proba)
-		out[i] = proba
-	}
-	return out, Cost{Generic: float64(m) * float64(d) * float64(lr.classes) * 2}
+	})
+	return out, Cost{Generic: float64(m) * float64(x.Features()) * float64(lm.classes) * 2}
 }
 
 // Clone implements Classifier.
-func (lr *LogisticRegression) Clone() Classifier { return NewLogisticRegression(lr.Params) }
+func (lm *LinearModel) Clone() Classifier { return &LinearModel{Params: lm.Params, hinge: lm.hinge} }
 
 // Name implements Classifier.
-func (lr *LogisticRegression) Name() string {
-	p := lr.Params.normalized()
-	return fmt.Sprintf("logreg(epochs=%d,l2=%.2g)", p.Epochs, p.L2)
+func (lm *LinearModel) Name() string {
+	p := lm.Params.normalized()
+	kind := "logreg"
+	if lm.hinge {
+		kind = "svm"
+	}
+	return fmt.Sprintf("%s(epochs=%d,l2=%.2g)", kind, p.Epochs, p.L2)
 }
 
 // ParallelFrac implements Classifier: SGD is inherently sequential.
-func (lr *LogisticRegression) ParallelFrac() float64 { return 0.1 }
-
-// LinearSVM is a one-vs-rest linear support-vector classifier trained with
-// hinge-loss SGD. Probabilities are a softmax over margins.
-type LinearSVM struct {
-	Params  LinearParams
-	core    linearCore
-	classes int
-}
-
-// NewLinearSVM constructs a linear SVM classifier.
-func NewLinearSVM(p LinearParams) *LinearSVM {
-	return &LinearSVM{Params: p}
-}
-
-// Fit implements Classifier.
-func (s *LinearSVM) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) {
-	p := s.Params.normalized()
-	s.Params = p
-	n, d, k := ds.Rows(), ds.Features(), ds.Classes()
-	s.classes = k
-	s.core = newLinearCore(k, d)
-
-	labels := ds.LabelsInto(nil)
-	rowBuf := make([]float64, d)
-	step := 0
-	for epoch := 0; epoch < p.Epochs; epoch++ {
-		for _, i := range rng.Perm(n) {
-			step++
-			row := ds.Row(i, rowBuf)
-			rowBuf = row
-			eta := p.LearningRate / (1 + 0.01*float64(step))
-			for c := 0; c < k; c++ {
-				target := -1.0
-				if labels[i] == c {
-					target = 1.0
-				}
-				w := s.core.weights[c]
-				var margin float64
-				for j, v := range row {
-					margin += w[j] * v
-				}
-				margin = target * (margin + s.core.bias[c])
-				if margin < 1 {
-					for j, v := range row {
-						w[j] -= eta * (-target*v + p.L2*w[j])
-					}
-					s.core.bias[c] += eta * target
-				} else if p.L2 > 0 {
-					for j := range w {
-						w[j] -= eta * p.L2 * w[j]
-					}
-				}
-			}
-		}
-	}
-	return Cost{Generic: float64(p.Epochs) * float64(n) * float64(d) * float64(k) * 3}, nil
-}
-
-// PredictProba implements Classifier.
-func (s *LinearSVM) PredictProba(x tabular.View) ([][]float64, Cost) {
-	m := x.Rows()
-	if len(s.core.weights) == 0 {
-		return uniformProba(m, max(s.classes, 2)), Cost{}
-	}
-	out := make([][]float64, m) //greenlint:allow rowmajor proba output rows, class-wide not feature-wide
-	d := x.Features()
-	var rowBuf []float64
-	for i := 0; i < m; i++ {
-		row := x.Row(i, rowBuf)
-		rowBuf = row
-		margins := make([]float64, s.classes)
-		s.core.logits(row, margins)
-		softmaxInPlace(margins)
-		out[i] = margins
-	}
-	return out, Cost{Generic: float64(m) * float64(d) * float64(s.classes) * 2}
-}
-
-// Clone implements Classifier.
-func (s *LinearSVM) Clone() Classifier { return NewLinearSVM(s.Params) }
-
-// Name implements Classifier.
-func (s *LinearSVM) Name() string {
-	p := s.Params.normalized()
-	return fmt.Sprintf("svm(epochs=%d,l2=%.2g)", p.Epochs, p.L2)
-}
-
-// ParallelFrac implements Classifier.
-func (s *LinearSVM) ParallelFrac() float64 { return 0.1 }
-
-func newLinearCore(classes, features int) linearCore {
-	core := linearCore{
-		weights: make([][]float64, classes), //greenlint:allow rowmajor class-by-feature weight matrix - model parameters
-		bias:    make([]float64, classes),
-	}
-	for k := range core.weights {
-		core.weights[k] = make([]float64, features)
-	}
-	return core
-}
+func (lm *LinearModel) ParallelFrac() float64 { return 0.1 }

@@ -157,6 +157,19 @@ func uniformProba(n, classes int) [][]float64 {
 	return out
 }
 
+// predictRows is the row-wise predict loop: it gathers each viewed row
+// into one reused buffer and has score write that row's class
+// probabilities into its row of one rows×classes probaSlab.
+func predictRows(x tabular.View, classes int, score func(row, proba []float64)) [][]float64 {
+	out := probaSlab(x.Rows(), classes)
+	var row []float64
+	for i, proba := range out {
+		row = x.Row(i, row)
+		score(row, proba)
+	}
+	return out
+}
+
 // probaSlab returns n zeroed rows of width k carved from one n×k slab.
 // Each row is capped at its own width, so no row can write into the
 // next; rows of one slab are still one allocation, which callers that

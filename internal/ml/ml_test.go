@@ -402,6 +402,37 @@ func TestKNNPredictAllocsFlat(t *testing.T) {
 	})
 }
 
+// TestRowwisePredictAllocsFlat pins the row-wise predict loop's
+// allocations: every model that scores one row at a time writes into
+// one output slab through one reused row buffer, so predicting 257 rows
+// allocates exactly as often as predicting one — the slab, its row
+// headers and the row buffer, plus the MLP's activation buffers.
+func TestRowwisePredictAllocsFlat(t *testing.T) {
+	train := equivDataset(120, 6, 3, 41).All()
+	for _, c := range []struct {
+		model Classifier
+		want  float64
+	}{
+		{NewGaussianNB(), 3},
+		{NewBernoulliNB(1), 3},
+		{NewLogisticRegression(LinearParams{Epochs: 2}), 3},
+		{NewLinearSVM(LinearParams{Epochs: 2}), 3},
+		{NewMLP(MLPParams{Hidden: []int{8, 5}, Epochs: 2}), 5},
+	} {
+		if _, err := c.model.Fit(train, testRNG(42)); err != nil {
+			t.Fatal(err)
+		}
+		withParallelism(t, 1, func() {
+			for _, rows := range []int{1, 32, kernelBlock + 1} {
+				x := equivDataset(rows, 6, 3, 43).All()
+				if got := testing.AllocsPerRun(20, func() { c.model.PredictProba(x) }); got != c.want {
+					t.Errorf("%s on %d rows: %v allocs, want %v", c.model.Name(), rows, got, c.want)
+				}
+			}
+		})
+	}
+}
+
 func TestKNNInferenceCostScalesWithTrainingSet(t *testing.T) {
 	small := separableBlob(50, 3, testRNG(35))
 	large := separableBlob(500, 3, testRNG(36))

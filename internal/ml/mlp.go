@@ -94,13 +94,7 @@ func (m *MLP) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) {
 		weightCount += float64(in * out)
 	}
 
-	// Preallocate activation and delta buffers.
-	acts := make([][]float64, len(sizes))   //greenlint:allow rowmajor per-layer activation scratch, layer-wide
-	deltas := make([][]float64, len(sizes)) //greenlint:allow rowmajor per-layer delta scratch, layer-wide
-	for l, s := range sizes {
-		acts[l] = make([]float64, s)
-		deltas[l] = make([]float64, s)
-	}
+	acts, deltas := m.layerBuffers(d), m.layerBuffers(d)
 
 	for epoch := 0; epoch < p.Epochs; epoch++ {
 		eta := p.LearningRate / (1 + 0.05*float64(epoch))
@@ -122,6 +116,25 @@ func (m *MLP) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) {
 	return Cost{Matrix: flops}, nil
 }
 
+// layerBuffers returns one buffer per layer boundary, carved from one
+// slab: d wide for the input, then each layer's output width.
+func (m *MLP) layerBuffers(d int) [][]float64 {
+	total := d
+	for _, layer := range m.layers {
+		total += len(layer.w)
+	}
+	slab := make([]float64, total)
+	bufs := make([][]float64, len(m.layers)+1) //greenlint:allow rowmajor per-layer activation scratch, layer-wide
+	bufs[0], slab = slab[:d:d], slab[d:]
+	for l, layer := range m.layers {
+		w := len(layer.w)
+		bufs[l+1], slab = slab[:w:w], slab[w:]
+	}
+	return bufs
+}
+
+// forward propagates acts[0] through every layer, writing each layer's
+// output into the next buffer of acts.
 func (m *MLP) forward(acts [][]float64) {
 	for l, layer := range m.layers {
 		in, out := acts[l], acts[l+1]
@@ -185,32 +198,13 @@ func (m *MLP) PredictProba(x tabular.View) ([][]float64, Cost) {
 			weightCount += float64(len(w))
 		}
 	}
-	out := make([][]float64, n) //greenlint:allow rowmajor proba output rows, class-wide not feature-wide
-	var rowBuf []float64
-	for i := 0; i < n; i++ {
-		row := x.Row(i, rowBuf)
-		rowBuf = row
-		cur := row
-		for _, layer := range m.layers {
-			next := make([]float64, len(layer.w))
-			for o, w := range layer.w {
-				var sum float64
-				for j, v := range cur {
-					sum += w[j] * v
-				}
-				sum += layer.b[o]
-				if !layer.last && sum < 0 {
-					sum = 0
-				}
-				next[o] = sum
-			}
-			if layer.last {
-				softmaxInPlace(next)
-			}
-			cur = next
-		}
-		out[i] = cur
-	}
+	// The gathered row is the input activation and the output row the
+	// last, so forward reads the view and writes the slab in place.
+	acts := m.layerBuffers(0)
+	out := predictRows(x, m.classes, func(row, proba []float64) {
+		acts[0], acts[len(acts)-1] = row, proba
+		m.forward(acts)
+	})
 	return out, Cost{Matrix: float64(n) * weightCount * 2}
 }
 

@@ -86,14 +86,8 @@ func (g *GaussianNB) PredictProba(x tabular.View) ([][]float64, Cost) {
 	if g.mean == nil {
 		return uniformProba(m, max(g.classes, 2)), Cost{}
 	}
-	out := make([][]float64, m) //greenlint:allow rowmajor proba output rows, class-wide not feature-wide
-	d := x.Features()
-	var rowBuf []float64
-	for i := 0; i < m; i++ {
-		row := x.Row(i, rowBuf)
-		rowBuf = row
-		logp := make([]float64, g.classes)
-		for c := 0; c < g.classes; c++ {
+	out := predictRows(x, g.classes, func(row, logp []float64) {
+		for c := range logp {
 			lp := g.logPrior[c]
 			for j, v := range row {
 				diff := v - g.mean[c][j]
@@ -102,9 +96,8 @@ func (g *GaussianNB) PredictProba(x tabular.View) ([][]float64, Cost) {
 			logp[c] = lp
 		}
 		softmaxInPlace(logp)
-		out[i] = logp
-	}
-	return out, Cost{Generic: float64(m) * float64(d) * float64(g.classes) * 5}
+	})
+	return out, Cost{Generic: float64(m) * float64(x.Features()) * float64(g.classes) * 5}
 }
 
 // Clone implements Classifier.
@@ -189,14 +182,9 @@ func (b *BernoulliNB) PredictProba(x tabular.View) ([][]float64, Cost) {
 	if b.logP == nil {
 		return uniformProba(m, max(b.classes, 2)), Cost{}
 	}
-	out := make([][]float64, m) //greenlint:allow rowmajor proba output rows, class-wide not feature-wide
 	d := len(b.thresholds)
-	var rowBuf []float64
-	for i := 0; i < m; i++ {
-		row := x.Row(i, rowBuf)
-		rowBuf = row
-		logp := make([]float64, b.classes)
-		for c := 0; c < b.classes; c++ {
+	out := predictRows(x, b.classes, func(row, logp []float64) {
+		for c := range logp {
 			lp := b.logPrior[c]
 			for j, v := range row {
 				if j >= d {
@@ -211,8 +199,7 @@ func (b *BernoulliNB) PredictProba(x tabular.View) ([][]float64, Cost) {
 			logp[c] = lp
 		}
 		softmaxInPlace(logp)
-		out[i] = logp
-	}
+	})
 	return out, Cost{Generic: float64(m) * float64(d) * float64(b.classes) * 2}
 }
 

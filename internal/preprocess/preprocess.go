@@ -148,11 +148,36 @@ func (im *Imputer) Name() string {
 	return "imputer(mean)"
 }
 
+// affine is the scalers' learned per-column map v ↦ (v − center[j]) /
+// scale[j]. Each scaler embeds it for its Transform and learns only the
+// two vectors in its FitTransform.
+type affine struct {
+	center, scale []float64
+}
+
+// Transform implements Transformer. Columns beyond the fitted width pass
+// through unchanged.
+func (a *affine) Transform(x tabular.View) (tabular.View, ml.Cost) {
+	n, d := x.Rows(), x.Features()
+	out := outputFrame(x, d)
+	for j := 0; j < d; j++ {
+		dst := out.Cols[j]
+		gatherCol(x, j, dst)
+		if j < len(a.center) {
+			center, scale := a.center[j], a.scale[j]
+			for i, v := range dst {
+				dst[i] = (v - center) / scale
+			}
+		}
+	}
+	return out.All(), ml.Cost{Generic: float64(2 * n * d)}
+}
+
 // StandardScaler standardizes numeric columns to zero mean and unit
 // variance. Categorical code columns are scaled too; encoders should run
 // first when that matters.
 type StandardScaler struct {
-	mean, std []float64
+	affine // center is the mean, scale the standard deviation
 }
 
 // FitTransform implements Transformer. Moments accumulate column by
@@ -160,8 +185,7 @@ type StandardScaler struct {
 // learned statistics match the historical row-major pass bit for bit.
 func (s *StandardScaler) FitTransform(ds tabular.View, _ *rand.Rand) (tabular.View, ml.Cost, error) {
 	n, d := ds.Rows(), ds.Features()
-	s.mean = make([]float64, d)
-	s.std = make([]float64, d)
+	mean, std := make([]float64, d), make([]float64, d)
 	var colBuf []float64
 	if !ds.Contiguous() {
 		colBuf = make([]float64, n)
@@ -169,38 +193,22 @@ func (s *StandardScaler) FitTransform(ds tabular.View, _ *rand.Rand) (tabular.Vi
 	for j := 0; j < d; j++ {
 		col := ds.ColInto(j, colBuf)
 		for _, v := range col {
-			s.mean[j] += v
+			mean[j] += v
 		}
-		s.mean[j] /= float64(n)
+		mean[j] /= float64(n)
 		for _, v := range col {
-			diff := v - s.mean[j]
-			s.std[j] += diff * diff
+			diff := v - mean[j]
+			std[j] += diff * diff
 		}
-		s.std[j] = math.Sqrt(s.std[j] / float64(n))
-		if s.std[j] < 1e-9 {
-			s.std[j] = 1
+		std[j] = math.Sqrt(std[j] / float64(n))
+		if std[j] < 1e-9 {
+			std[j] = 1
 		}
 	}
+	s.affine = affine{center: mean, scale: std}
 	out, cost := s.Transform(ds)
 	cost.Generic += float64(2 * n * d)
 	return out, cost, nil
-}
-
-// Transform implements Transformer.
-func (s *StandardScaler) Transform(x tabular.View) (tabular.View, ml.Cost) {
-	n, d := x.Rows(), x.Features()
-	out := outputFrame(x, d)
-	for j := 0; j < d; j++ {
-		dst := out.Cols[j]
-		gatherCol(x, j, dst)
-		if j < len(s.mean) {
-			mean, std := s.mean[j], s.std[j]
-			for i, v := range dst {
-				dst[i] = (v - mean) / std
-			}
-		}
-	}
-	return out.All(), ml.Cost{Generic: float64(2 * n * d)}
 }
 
 // Name implements Transformer.
@@ -208,14 +216,13 @@ func (s *StandardScaler) Name() string { return "standard_scaler" }
 
 // MinMaxScaler rescales each column to [0, 1] using training min/max.
 type MinMaxScaler struct {
-	min, span []float64
+	affine // center is the minimum, scale the span
 }
 
 // FitTransform implements Transformer.
 func (s *MinMaxScaler) FitTransform(ds tabular.View, _ *rand.Rand) (tabular.View, ml.Cost, error) {
 	n, d := ds.Rows(), ds.Features()
-	s.min = make([]float64, d)
-	s.span = make([]float64, d)
+	lows, spans := make([]float64, d), make([]float64, d)
 	var colBuf []float64
 	if !ds.Contiguous() {
 		colBuf = make([]float64, n)
@@ -231,32 +238,16 @@ func (s *MinMaxScaler) FitTransform(ds tabular.View, _ *rand.Rand) (tabular.View
 				hi = v
 			}
 		}
-		s.min[j] = lo
-		s.span[j] = hi - lo
-		if s.span[j] < 1e-12 {
-			s.span[j] = 1
+		lows[j] = lo
+		spans[j] = hi - lo
+		if spans[j] < 1e-12 {
+			spans[j] = 1
 		}
 	}
+	s.affine = affine{center: lows, scale: spans}
 	out, cost := s.Transform(ds)
 	cost.Generic += float64(n * d)
 	return out, cost, nil
-}
-
-// Transform implements Transformer.
-func (s *MinMaxScaler) Transform(x tabular.View) (tabular.View, ml.Cost) {
-	n, d := x.Rows(), x.Features()
-	out := outputFrame(x, d)
-	for j := 0; j < d; j++ {
-		dst := out.Cols[j]
-		gatherCol(x, j, dst)
-		if j < len(s.min) {
-			lo, span := s.min[j], s.span[j]
-			for i, v := range dst {
-				dst[i] = (v - lo) / span
-			}
-		}
-	}
-	return out.All(), ml.Cost{Generic: float64(2 * n * d)}
 }
 
 // Name implements Transformer.
@@ -265,7 +256,7 @@ func (s *MinMaxScaler) Name() string { return "minmax_scaler" }
 // RobustScaler centers by the median and scales by the interquartile range,
 // learned on training data.
 type RobustScaler struct {
-	center, scale []float64
+	affine
 }
 
 // FitTransform implements Transformer.
@@ -287,23 +278,6 @@ func (s *RobustScaler) FitTransform(ds tabular.View, _ *rand.Rand) (tabular.View
 	out, cost := s.Transform(ds)
 	cost.Generic += float64(n*d) * math.Log2(float64(n)+2)
 	return out, cost, nil
-}
-
-// Transform implements Transformer.
-func (s *RobustScaler) Transform(x tabular.View) (tabular.View, ml.Cost) {
-	n, d := x.Rows(), x.Features()
-	out := outputFrame(x, d)
-	for j := 0; j < d; j++ {
-		dst := out.Cols[j]
-		gatherCol(x, j, dst)
-		if j < len(s.center) {
-			center, scale := s.center[j], s.scale[j]
-			for i, v := range dst {
-				dst[i] = (v - center) / scale
-			}
-		}
-	}
-	return out.All(), ml.Cost{Generic: float64(2 * n * d)}
 }
 
 // Name implements Transformer.
