@@ -104,11 +104,7 @@ func (a *AutoSklearn) Fit(train tabular.View, opts Options) (*Result, error) {
 	}
 
 	if len(evals) == 0 {
-		return tracker.finish(&Result{
-			System:    a.Name(),
-			Predictor: newMajorityPredictor(train),
-			Classes:   train.Classes(),
-		}), nil
+		return tracker.finish(MajorityResult(a.Name(), train)), nil
 	}
 
 	// Post-budget ensembling over the top evaluated pipelines: Caruana
@@ -180,7 +176,7 @@ func (a *AutoSklearn) tryEvaluate(cfg pipeline.Config, spec pipeline.SpaceSpec, 
 		bo.Observe(cfg, 0)
 		return
 	}
-	ev, ok := evaluatePipeline(p, fitTrain, val, opts.Meter, rng)
+	ev, ok := evaluatePipeline(p, fitTrain, val, opts.Meter, noCap, rng)
 	if !ok {
 		bo.Observe(cfg, 0)
 		return
@@ -204,41 +200,20 @@ func WarmStartPortfolio(meta tabular.MetaFeatures, space *pipeline.Space, budget
 		affinity float64
 		cheap    bool
 	}
-	base := space.Default()
-	modelIdx := func(name string) float64 {
-		p, ok := space.Lookup("model")
-		if !ok {
-			return 0
-		}
-		for i, choice := range p.Choices {
-			if choice == name {
-				return float64(i)
-			}
-		}
-		return 0
-	}
-	mk := func(model string, overrides pipeline.Config) pipeline.Config {
-		cfg := base.Clone()
-		cfg["model"] = modelIdx(model)
-		for k, v := range overrides {
-			cfg[k] = v
-		}
-		return cfg
-	}
 	wide := meta.LogFeatures   // high for wide datasets
 	large := meta.LogRows      // high for large datasets
 	classes := meta.LogClasses // high for many-class tasks
 	entries := []entry{
-		{mk("gradient_boosting", pipeline.Config{"gradient_boosting.rounds": 60, "gradient_boosting.lr": 0.1}), 2 + large, false},
-		{mk("random_forest", pipeline.Config{"random_forest.trees": 80, "random_forest.max_depth": 18}), 2 + classes, false},
-		{mk("extra_trees", pipeline.Config{"extra_trees.trees": 80}), 1.5 + classes, false},
-		{mk("mlp", pipeline.Config{"mlp.width": 64, "mlp.epochs": 40}), 1 + large - wide, false},
-		{mk("logreg", pipeline.Config{"logreg.epochs": 30}), 1 + wide, true},
-		{mk("svm", pipeline.Config{"svm.epochs": 30}), 0.5 + wide, true},
-		{mk("gradient_boosting", pipeline.Config{"gradient_boosting.rounds": 30, "gradient_boosting.lr": 0.2, "feature_pre": 1}), 1 + 2*wide, false},
-		{mk("tree", pipeline.Config{"tree.max_depth": 8}), 1 - large, true},
-		{mk("gaussian_nb", nil), 0.5 - large, true},
-		{mk("knn", pipeline.Config{"knn.k": 7, "knn.weighted": 1}), 0.8 - wide, true},
+		{space.Preset("gradient_boosting", pipeline.Config{"gradient_boosting.rounds": 60, "gradient_boosting.lr": 0.1}), 2 + large, false},
+		{space.Preset("random_forest", pipeline.Config{"random_forest.trees": 80, "random_forest.max_depth": 18}), 2 + classes, false},
+		{space.Preset("extra_trees", pipeline.Config{"extra_trees.trees": 80}), 1.5 + classes, false},
+		{space.Preset("mlp", pipeline.Config{"mlp.width": 64, "mlp.epochs": 40}), 1 + large - wide, false},
+		{space.Preset("logreg", pipeline.Config{"logreg.epochs": 30}), 1 + wide, true},
+		{space.Preset("svm", pipeline.Config{"svm.epochs": 30}), 0.5 + wide, true},
+		{space.Preset("gradient_boosting", pipeline.Config{"gradient_boosting.rounds": 30, "gradient_boosting.lr": 0.2, "feature_pre": 1}), 1 + 2*wide, false},
+		{space.Preset("tree", pipeline.Config{"tree.max_depth": 8}), 1 - large, true},
+		{space.Preset("gaussian_nb", nil), 0.5 - large, true},
+		{space.Preset("knn", pipeline.Config{"knn.k": 7, "knn.weighted": 1}), 0.8 - wide, true},
 	}
 	sort.SliceStable(entries, func(i, j int) bool {
 		// Cost-aware ordering at short budgets: cheap entries first,

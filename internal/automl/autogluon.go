@@ -69,109 +69,92 @@ func (g *AutoGluon) MinBudget() time.Duration { return 0 }
 type agCandidate struct {
 	name  string
 	build func() *pipeline.Pipeline
+	// refit builds the single model the fast-inference preset trains in
+	// the bag's place; nil means the bag is never refit.
+	refit func() *pipeline.Pipeline
 }
 
-// defaultCandidates returns the predefined pipeline list. Every pipeline
-// gets the standard preprocessing (impute, one-hot, scale) — AutoGluon
-// fixes preprocessing rather than searching it.
-func defaultCandidates(gpu bool) []agCandidate {
-	wrap := func(family string, overrides pipeline.Config) func() *pipeline.Pipeline {
-		return func() *pipeline.Pipeline {
-			spec := pipeline.SpaceSpec{Models: []string{family}, DataPreprocessors: true}
-			space, err := spec.Space()
-			if err != nil {
-				panic(fmt.Sprintf("autogluon: building space for %s: %v", family, err))
-			}
-			cfg := space.Default()
-			for k, v := range overrides {
-				cfg[k] = v
-			}
-			p, err := spec.Build(cfg, 0)
-			if err != nil {
-				panic(fmt.Sprintf("autogluon: building %s: %v", family, err))
-			}
-			return p
-		}
+// agBuilder returns a builder for family's default pipeline with the
+// overrides applied. Every pipeline gets the standard preprocessing
+// (impute, one-hot, scale) — AutoGluon fixes preprocessing rather than
+// searching it.
+func agBuilder(family string, overrides pipeline.Config) func() *pipeline.Pipeline {
+	spec := pipeline.SpaceSpec{Models: []string{family}, DataPreprocessors: true}
+	space, err := spec.Space()
+	if err != nil {
+		panic(fmt.Sprintf("autogluon: building space for %s: %v", family, err))
 	}
-	mlpCfg := pipeline.Config{"mlp.width": 48, "mlp.epochs": 30}
+	cfg := space.Preset(family, overrides)
+	return func() *pipeline.Pipeline {
+		p, err := spec.Build(cfg, 0)
+		if err != nil {
+			panic(fmt.Sprintf("autogluon: building %s: %v", family, err))
+		}
+		return p
+	}
+}
+
+// defaultCandidates returns the predefined pipeline list. Each bag refits
+// into its own pipeline, except the GPU-sized MLP.
+func defaultCandidates(gpu bool) []agCandidate {
+	cands := []agCandidate{
+		{name: "knn", build: agBuilder("knn", pipeline.Config{"knn.k": 5})},
+		{name: "gbt-fast", build: agBuilder("gradient_boosting", pipeline.Config{"gradient_boosting.rounds": 25, "gradient_boosting.lr": 0.15})},
+		{name: "rf", build: agBuilder("random_forest", pipeline.Config{"random_forest.trees": 60, "random_forest.max_depth": 18})},
+		{name: "xt", build: agBuilder("extra_trees", pipeline.Config{"extra_trees.trees": 60})},
+		{name: "gbt-deep", build: agBuilder("gradient_boosting", pipeline.Config{"gradient_boosting.rounds": 60, "gradient_boosting.lr": 0.08, "gradient_boosting.max_depth": 4})},
+		{name: "mlp", build: agBuilder("mlp", pipeline.Config{"mlp.width": 48, "mlp.epochs": 30})},
+	}
+	for i := range cands {
+		cands[i].refit = cands[i].build
+	}
 	if gpu {
 		// With an accelerator available AutoGluon trains a larger
 		// neural network (cheap to fit on GPU) — whose inference, still
 		// on CPU, is correspondingly heavier (paper Table 3: GPU raises
-		// AutoGluon's inference time and energy).
-		mlpCfg = pipeline.Config{"mlp.width": 128, "mlp.layers": 2, "mlp.epochs": 45}
+		// AutoGluon's inference time and energy). Its refit still
+		// trains the CPU-sized network, not the bag's own: a known
+		// mismatch, kept so outputs stay pinned (see CHANGES.md).
+		cands[5].build = agBuilder("mlp", pipeline.Config{"mlp.width": 128, "mlp.layers": 2, "mlp.epochs": 45})
 	}
-	return []agCandidate{
-		{"knn", wrap("knn", pipeline.Config{"knn.k": 5})},
-		{"gbt-fast", wrap("gradient_boosting", pipeline.Config{"gradient_boosting.rounds": 25, "gradient_boosting.lr": 0.15})},
-		{"rf", wrap("random_forest", pipeline.Config{"random_forest.trees": 60, "random_forest.max_depth": 18})},
-		{"xt", wrap("extra_trees", pipeline.Config{"extra_trees.trees": 60})},
-		{"gbt-deep", wrap("gradient_boosting", pipeline.Config{"gradient_boosting.rounds": 60, "gradient_boosting.lr": 0.08, "gradient_boosting.max_depth": 4})},
-		{"mlp", wrap("mlp", mlpCfg)},
-	}
+	return cands
 }
 
 // escalatedCandidates returns higher-capacity variants of the strongest
-// base families, used by the budget-adaptive escalation loop. Capacity
-// grows with mult.
-func escalatedCandidates(gpu bool, mult float64) []agCandidate {
-	base := defaultCandidates(gpu)
-	wrapOf := func(idx int, overrides pipeline.Config) agCandidate {
-		orig := base[idx]
-		return agCandidate{
-			name: fmt.Sprintf("%s-x%g", orig.name, mult),
-			build: func() *pipeline.Pipeline {
-				// Rebuild the family's spec with escalated params.
-				spec := pipeline.SpaceSpec{Models: []string{familyOf(orig.name)}, DataPreprocessors: true}
-				space, err := spec.Space()
-				if err != nil {
-					panic(fmt.Sprintf("autogluon: escalated space: %v", err))
-				}
-				cfg := space.Default()
-				for k, v := range overrides {
-					cfg[k] = v
-				}
-				p, err := spec.Build(cfg, 0)
-				if err != nil {
-					panic(fmt.Sprintf("autogluon: escalated build: %v", err))
-				}
-				return p
-			},
-		}
-	}
+// base families (gbt-deep and rf), used by the budget-adaptive escalation
+// loop. Capacity grows with mult; escalated bags are never refit.
+func escalatedCandidates(mult float64) []agCandidate {
 	return []agCandidate{
-		wrapOf(4, pipeline.Config{ // gbt-deep escalated
+		{name: fmt.Sprintf("gbt-deep-x%g", mult), build: agBuilder("gradient_boosting", pipeline.Config{
 			"gradient_boosting.rounds":    60 * mult,
 			"gradient_boosting.lr":        0.08 / mult,
 			"gradient_boosting.max_depth": 4,
-		}),
-		wrapOf(2, pipeline.Config{ // rf escalated
+		})},
+		{name: fmt.Sprintf("rf-x%g", mult), build: agBuilder("random_forest", pipeline.Config{
 			"random_forest.trees":     60 * mult,
 			"random_forest.max_depth": 22,
-		}),
+		})},
 	}
 }
 
-// familyOf maps a candidate name to its model-registry family.
-func familyOf(name string) string {
-	switch {
-	case name == "rf" || name[:2] == "rf":
-		return "random_forest"
-	case name == "xt":
-		return "extra_trees"
-	case name == "knn":
-		return "knn"
-	case name == "mlp":
-		return "mlp"
-	default:
-		return "gradient_boosting"
-	}
-}
-
-// stackCandidates is the (smaller) second-layer list.
+// stackCandidates is the (smaller) second-layer list: rf, gbt-deep and
+// mlp. Stacked bags cannot be refit standalone.
 func stackCandidates(gpu bool) []agCandidate {
 	all := defaultCandidates(gpu)
-	return []agCandidate{all[2], all[4], all[5]} // rf, gbt-deep, mlp
+	stack := []agCandidate{all[2], all[4], all[5]}
+	for i := range stack {
+		stack[i].name += "-l2"
+		stack[i].refit = nil
+	}
+	return stack
+}
+
+// fittedBag is one fitted bag of the ensemble.
+type fittedBag struct {
+	name    string
+	bag     *ensemble.Bagged
+	stacked bool                      // trained on the layer-2 stacked features
+	refit   func() *pipeline.Pipeline // the candidate's refit builder; nil: never refit
 }
 
 // Fit implements System.
@@ -188,41 +171,38 @@ func (g *AutoGluon) Fit(train tabular.View, opts Options) (*Result, error) {
 	}
 	gpu := meter.GPUMode() == energy.GPUActive
 
-	// ----- Layer 1: bagged base models -----
 	// AutoGluon plans its workload against the *budget*, estimating each
 	// model's training time as if run sequentially — the plan does not
 	// expand when more cores are allotted, it just finishes sooner
 	// (which is why multi-core runs save energy, paper Fig. 5).
-	type fittedBag struct {
-		name string
-		bag  *ensemble.Bagged
-	}
-	var layer1 []fittedBag
 	var lastBagSeq, plannedSeq time.Duration
 	remainingPlan := func() time.Duration { return opts.Budget - plannedSeq }
-	for i, cand := range defaultCandidates(gpu) {
-		// Budget estimation: skip remaining models once the last bag's
-		// sequential cost exceeds the plan's remainder — except the
-		// first model, which is mandatory (the source of small-budget
-		// overruns).
-		if i > 0 && lastBagSeq > remainingPlan() {
-			break
+	// fitBags trains the candidates' bags on data in order. Budget
+	// estimation skips the remaining candidates once the last bag's
+	// sequential cost exceeds the plan's remainder — except a mandatory
+	// first candidate (the source of small-budget overruns).
+	fitBags := func(cands []agCandidate, data tabular.View, seed uint64, stacked, firstMandatory bool) []fittedBag {
+		var out []fittedBag
+		for i, cand := range cands {
+			if (i > 0 || !firstMandatory) && lastBagSeq > remainingPlan() {
+				break
+			}
+			bag, costs, err := ensemble.FitBagged(cand.build, data, folds, seed, rng)
+			if err != nil {
+				continue
+			}
+			_, seq := g.chargeBag(meter, costs, cand.build().ParallelFrac())
+			lastBagSeq = seq
+			plannedSeq += seq
+			out = append(out, fittedBag{name: cand.name, bag: bag, stacked: stacked, refit: cand.refit})
 		}
-		bag, costs, err := ensemble.FitBagged(cand.build, train, folds, opts.Seed, rng)
-		if err != nil {
-			continue
-		}
-		_, seq := g.chargeBag(meter, costs, cand.build().ParallelFrac())
-		lastBagSeq = seq
-		plannedSeq += seq
-		layer1 = append(layer1, fittedBag{name: cand.name, bag: bag})
+		return out
 	}
+
+	// ----- Layer 1: bagged base models -----
+	layer1 := fitBags(defaultCandidates(gpu), train, opts.Seed, false, true)
 	if len(layer1) == 0 {
-		return tracker.finish(&Result{
-			System:    g.Name(),
-			Predictor: newMajorityPredictor(train),
-			Classes:   train.Classes(),
-		}), nil
+		return tracker.finish(MajorityResult(g.Name(), train)), nil
 	}
 
 	// ----- Layer 2: stacking on features + layer-1 OOF predictions -----
@@ -231,7 +211,6 @@ func (g *AutoGluon) Fit(train tabular.View, opts Options) (*Result, error) {
 	// rows to the original features.
 	var layer2 []fittedBag
 	stackBaseCount := len(layer1) // layer-2 inputs use exactly these bags
-	oofLabels := layer1[0].bag.OOFLabels
 	if lastBagSeq*2 <= remainingPlan() {
 		probas := make([][][]float64, len(layer1))
 		for i, fb := range layer1 {
@@ -241,21 +220,9 @@ func (g *AutoGluon) Fit(train tabular.View, opts Options) (*Result, error) {
 		// of the validation folds, in fold order.
 		sf := ensemble.StackFeatures(train.Select(layer1[0].bag.OOFIndex), probas)
 		sf.Name = train.Name() + "+stack"
-		sf.Y = oofLabels
+		sf.Y = layer1[0].bag.OOFLabels
 		sf.Classes = train.Classes()
-		for _, cand := range stackCandidates(gpu) {
-			if lastBagSeq > remainingPlan() {
-				break
-			}
-			bag, costs, err := ensemble.FitBagged(cand.build, sf.All(), folds, opts.Seed+1, rng)
-			if err != nil {
-				continue
-			}
-			_, seq := g.chargeBag(meter, costs, cand.build().ParallelFrac())
-			lastBagSeq = seq
-			plannedSeq += seq
-			layer2 = append(layer2, fittedBag{name: cand.name + "-l2", bag: bag})
-		}
+		layer2 = fitBags(stackCandidates(gpu), sf.All(), opts.Seed+1, true, false)
 	}
 
 	// ----- Budget-adaptive capacity escalation -----
@@ -264,19 +231,7 @@ func (g *AutoGluon) Fit(train tabular.View, opts Options) (*Result, error) {
 	// nets) — the mechanism by which its accuracy keeps converging with
 	// longer search times (paper Fig. 3).
 	for mult := 2.0; mult <= 64 && lastBagSeq*3/2 <= remainingPlan(); mult *= 2 {
-		for _, cand := range escalatedCandidates(gpu, mult) {
-			if lastBagSeq > remainingPlan() {
-				break
-			}
-			bag, costs, err := ensemble.FitBagged(cand.build, train, folds, opts.Seed, rng)
-			if err != nil {
-				continue
-			}
-			_, seq := g.chargeBag(meter, costs, cand.build().ParallelFrac())
-			lastBagSeq = seq
-			plannedSeq += seq
-			layer1 = append(layer1, fittedBag{name: cand.name, bag: bag})
-		}
+		layer1 = append(layer1, fitBags(escalatedCandidates(mult), train, opts.Seed, false, false)...)
 	}
 
 	// ----- Caruana weighting over all bags' OOF predictions -----
@@ -291,7 +246,7 @@ func (g *AutoGluon) Fit(train tabular.View, opts Options) (*Result, error) {
 		aligned := make([][]float64, train.Rows())
 		for pos, proba := range fb.bag.OOFProba {
 			row := fb.bag.OOFIndex[pos]
-			if isStacked(fb.name) {
+			if fb.stacked {
 				row = layer1Index[row]
 			}
 			aligned[row] = proba
@@ -315,20 +270,17 @@ func (g *AutoGluon) Fit(train tabular.View, opts Options) (*Result, error) {
 	}
 	chargeCost(meter, energy.Execution, caruana.Cost, 0.2)
 
-	// Inference-optimized preset: refit selected bags into single models.
+	// Inference-optimized preset: refit selected bags into single models
+	// and drop the stacked ones, which cannot be refit standalone.
 	if g.Preset == PresetFastInference {
 		for i, fb := range all {
-			if caruana.Weights[i] <= 0 {
+			if fb.stacked {
+				caruana.Weights[i] = 0
+			}
+			if caruana.Weights[i] <= 0 || fb.refit == nil {
 				continue
 			}
-			if isStacked(fb.name) {
-				continue // stacked bags cannot be refit standalone; drop them
-			}
-			proto := g.protoFor(fb.name)
-			if proto == nil {
-				continue
-			}
-			cost, err := fb.bag.Refit(proto, train, rng)
+			cost, err := fb.bag.Refit(fb.refit, train, rng)
 			chargeCost(meter, energy.Execution, cost, 0.5)
 			if err != nil {
 				return nil, fmt.Errorf("autogluon: refit %s: %w", fb.name, err)
@@ -342,19 +294,10 @@ func (g *AutoGluon) Fit(train tabular.View, opts Options) (*Result, error) {
 	}
 	members := make([]ensemble.Predictor, len(all))
 	for i, fb := range all {
-		if isStacked(fb.name) {
+		if fb.stacked {
 			members[i] = &stackedPredictor{bag: fb.bag, base: base}
 		} else {
 			members[i] = fb.bag
-		}
-	}
-	// Drop stacked members that were skipped by refit in fast-inference
-	// mode.
-	if g.Preset == PresetFastInference {
-		for i, fb := range all {
-			if isStacked(fb.name) {
-				caruana.Weights[i] = 0
-			}
 		}
 	}
 
@@ -402,19 +345,6 @@ func (g *AutoGluon) chargeBag(meter *energy.Meter, costs []ml.Cost, parallelFrac
 		works = append(works, units[:n]...)
 	}
 	return meter.RunParallel(energy.Execution, works), sequential
-}
-
-func isStacked(name string) bool {
-	return len(name) > 3 && name[len(name)-3:] == "-l2"
-}
-
-func (g *AutoGluon) protoFor(name string) func() *pipeline.Pipeline {
-	for _, cand := range defaultCandidates(false) {
-		if cand.name == name {
-			return cand.build
-		}
-	}
-	return nil
 }
 
 // stackedPredictor feeds the input through the layer-1 bags to build the

@@ -1,5 +1,6 @@
 // Package automl implements the seven AutoML systems the paper evaluates,
-// each reproducing its published search architecture (paper Table 1):
+// each reproducing its published search architecture (paper Table 1),
+// plus a zero-shot portfolio system:
 //
 //   - AutoGluon: predefined pipelines, k-fold bagging, stacking, Caruana
 //     ensemble weighting; optional inference-optimized refit preset.
@@ -12,15 +13,22 @@
 //   - TPOT: NSGA-II genetic programming with 5-fold cross-validation.
 //   - CAML: Bayesian optimization with successive halving, constraint
 //     support (inference time), strict budget adherence.
+//   - ZeroShot: TabRepo-style zero-shot selection — trains a fixed or
+//     meta-learned portfolio in order and keeps the best member.
 //
 // Each system schedules against the virtual clock through an energy meter;
 // budget-fidelity behaviour (paper Table 7) emerges from the systems'
-// control flow, not from scripted timings.
+// control flow, not from scripted timings. The systems share one
+// evaluation (evaluatePipeline, under a deadline or noCap), one k-fold
+// loop (crossValidate), one curated-configuration builder
+// (pipeline.Space.Preset) and one majority-class fallback
+// (MajorityResult).
 package automl
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"time"
 
@@ -135,13 +143,13 @@ func (r *Result) PredictProbaCost(x tabular.View, meter *energy.Meter) ([][]floa
 
 // chargeCost runs a model cost through the meter at the given stage.
 func chargeCost(meter *energy.Meter, stage energy.Stage, cost ml.Cost, parallelFrac float64) time.Duration {
-	var total time.Duration
-	works, n := cost.Works(parallelFrac)
-	for _, w := range works[:n] {
-		total += meter.Run(stage, w)
-	}
+	total, _ := chargeCostCapped(meter, stage, cost, parallelFrac, noCap)
 	return total
 }
+
+// noCap is the deadline of work nothing cuts off: systems that let a
+// started evaluation finish pass it as their cap.
+const noCap = time.Duration(math.MaxInt64)
 
 // chargeCostCapped charges at most `cap` of virtual time for the cost and
 // reports whether the work was cut off. This models a system that kills a
@@ -208,24 +216,64 @@ type evaluation struct {
 }
 
 // evaluatePipeline fits a pipeline on train, scores it on val and charges
-// all compute to the meter's execution stage. A training failure returns
-// ok == false (the candidate is discarded, mirroring pipelines that crash
-// or exceed memory in the real systems).
-func evaluatePipeline(p *pipeline.Pipeline, train, val tabular.View, meter *energy.Meter, rng *rand.Rand) (evaluation, bool) {
+// all compute to the meter's execution stage, under a hard virtual
+// deadline: work beyond cap is charged only up to the cap and the
+// evaluation fails, mirroring CAML killing the evaluation process at the
+// deadline (systems that never kill one pass noCap). A training failure
+// also returns ok == false (the candidate is discarded, mirroring
+// pipelines that crash or exceed memory in the real systems); fitTime
+// still reports the time spent.
+func evaluatePipeline(p *pipeline.Pipeline, train, val tabular.View, meter *energy.Meter, cap time.Duration, rng *rand.Rand) (evaluation, bool) {
 	fitCost, err := p.Fit(train, rng)
-	fitTime := chargeCost(meter, energy.Execution, fitCost, p.ParallelFrac())
-	if err != nil {
-		return evaluation{}, false
+	fitTime, truncated := chargeCostCapped(meter, energy.Execution, fitCost, p.ParallelFrac(), cap)
+	if err != nil || truncated {
+		return evaluation{fitTime: fitTime}, false
 	}
 	proba, predCost := p.PredictProba(val)
-	fitTime += chargeCost(meter, energy.Execution, predCost, p.ParallelFrac())
+	predTime, truncated := chargeCostCapped(meter, energy.Execution, predCost, p.ParallelFrac(), cap-fitTime)
+	fitTime += predTime
+	if truncated {
+		return evaluation{fitTime: fitTime}, false
+	}
 	labels := metrics.ArgmaxRows(proba)
 	score := metrics.BalancedAccuracy(val.LabelsInto(nil), labels, val.Classes())
 	return evaluation{pipe: p, score: score, valProba: proba, fitTime: fitTime}, true
 }
 
-// singlePredictor wraps a pipeline as the result predictor.
-func singlePredictor(p *pipeline.Pipeline) ensemble.Predictor { return p }
+// crossValidate scores cfg by k-fold cross-validation on x. Each fold's
+// pipeline is built and evaluated under the deadline cap returns for the
+// time the evaluation has spent so far (nil: no deadline); any failed
+// fold fails the whole evaluation. The result carries the last fold's
+// pipeline, the mean fold score and the total time spent.
+func crossValidate(spec pipeline.SpaceSpec, cfg pipeline.Config, x tabular.View, k int, meter *energy.Meter, cap func(spent time.Duration) time.Duration, rng *rand.Rand) (evaluation, bool) {
+	trains, vals := x.KFold(k, rng)
+	if len(trains) == 0 {
+		return evaluation{}, false
+	}
+	var scoreSum float64
+	var spent time.Duration
+	var last evaluation
+	for f := range trains {
+		p, err := spec.Build(cfg, x.Features())
+		if err != nil {
+			return evaluation{}, false
+		}
+		limit := noCap
+		if cap != nil {
+			limit = cap(spent)
+		}
+		ev, ok := evaluatePipeline(p, trains[f], vals[f], meter, limit, rng)
+		spent += ev.fitTime
+		if !ok {
+			return evaluation{}, false
+		}
+		scoreSum += ev.score
+		last = ev
+	}
+	last.score = scoreSum / float64(len(trains))
+	last.fitTime = spent
+	return last, true
+}
 
 // MajorityResult builds the harness's graceful-degradation fallback: a
 // constant majority-class predictor standing in for a system whose run

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/energy"
-	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/search"
 	"repro/internal/tabular"
@@ -198,11 +197,7 @@ func (c *CAML) Fit(train tabular.View, opts Options) (*Result, error) {
 	if best.pipe == nil {
 		// Nothing evaluated successfully within the budget: fall back
 		// to the majority class (any-time property, paper §3.10).
-		return tracker.finish(&Result{
-			System:    c.Name(),
-			Predictor: newMajorityPredictor(train),
-			Classes:   train.Classes(),
-		}), nil
+		return tracker.finish(MajorityResult(c.Name(), train)), nil
 	}
 
 	final := best.pipe
@@ -221,7 +216,7 @@ func (c *CAML) Fit(train tabular.View, opts Options) (*Result, error) {
 
 	return tracker.finish(&Result{
 		System:     c.Name(),
-		Predictor:  singlePredictor(final),
+		Predictor:  final,
 		Classes:    train.Classes(),
 		Evaluated:  evaluated,
 		ValScore:   best.score,
@@ -238,20 +233,14 @@ func (c *CAML) evaluateIncremental(cfg pipeline.Config, fitTrain, val tabular.Vi
 		p, err := params.Spec.Build(cfg, fitTrain.Features())
 		return p, err == nil
 	}
-	capFor := func(spent time.Duration) time.Duration {
-		cap := budget.Remaining()
-		if evalCap > 0 && evalCap-spent < cap {
-			cap = evalCap - spent
-		}
-		return cap
-	}
+	deadline := capFor(budget, evalCap)
 
 	if !params.Incremental {
 		p, ok := build()
 		if !ok {
 			return evaluation{}, false
 		}
-		ev, ok := c.evaluateCapped(p, fitTrain, val, opts, capFor(0), rng)
+		ev, ok := evaluatePipeline(p, fitTrain, val, opts.Meter, deadline(0), rng)
 		if !ok || !c.satisfiesConstraint(&ev, val, params, opts.Meter) {
 			return evaluation{}, false
 		}
@@ -288,7 +277,7 @@ func (c *CAML) evaluateIncremental(cfg pipeline.Config, fitTrain, val tabular.Vi
 		if !ok {
 			return evaluation{}, false
 		}
-		ev, ok := c.evaluateCapped(p, sub, val, opts, capFor(spent), rng)
+		ev, ok := evaluatePipeline(p, sub, val, opts.Meter, deadline(spent), rng)
 		spent += ev.fitTime
 		if !ok {
 			// Truncated or failed rung: the partial work is paid, the
@@ -311,57 +300,27 @@ func (c *CAML) evaluateIncremental(cfg pipeline.Config, fitTrain, val tabular.Vi
 }
 
 // evaluateCV scores one configuration by k-fold cross-validation under the
-// same capped-deadline regime as hold-out evaluation. The returned
-// evaluation carries the last fold's fitted pipeline and the mean score.
+// same capped-deadline regime as hold-out evaluation, then applies the
+// inference constraint.
 func (c *CAML) evaluateCV(cfg pipeline.Config, working tabular.View, params CAMLParams, opts Options, budget *vclock.Budget, evalCap time.Duration, rng *rand.Rand) (evaluation, bool) {
-	trains, vals := working.KFold(params.CVFolds, rng)
-	var scoreSum float64
-	var spent time.Duration
-	var last evaluation
-	for f := range trains {
-		p, err := params.Spec.Build(cfg, working.Features())
-		if err != nil {
-			return evaluation{}, false
-		}
+	ev, ok := crossValidate(params.Spec, cfg, working, params.CVFolds, opts.Meter, capFor(budget, evalCap), rng)
+	if !ok || !c.satisfiesConstraint(&ev, working, params, opts.Meter) {
+		return evaluation{}, false
+	}
+	return ev, true
+}
+
+// capFor returns the deadline of one evaluation step given what the
+// evaluation has spent so far: the budget's remainder, tightened to the
+// per-evaluation cap when one is set.
+func capFor(budget *vclock.Budget, evalCap time.Duration) func(spent time.Duration) time.Duration {
+	return func(spent time.Duration) time.Duration {
 		cap := budget.Remaining()
 		if evalCap > 0 && evalCap-spent < cap {
 			cap = evalCap - spent
 		}
-		ev, ok := c.evaluateCapped(p, trains[f], vals[f], opts, cap, rng)
-		spent += ev.fitTime
-		if !ok {
-			return evaluation{}, false
-		}
-		scoreSum += ev.score
-		last = ev
+		return cap
 	}
-	last.score = scoreSum / float64(len(trains))
-	last.fitTime = spent
-	if !c.satisfiesConstraint(&last, working, params, opts.Meter) {
-		return evaluation{}, false
-	}
-	return last, true
-}
-
-// evaluateCapped fits and validates one candidate under a hard virtual
-// deadline: work beyond the cap is charged only up to the cap and the
-// evaluation reports failure, mirroring CAML killing the evaluation
-// process at the deadline.
-func (c *CAML) evaluateCapped(p *pipeline.Pipeline, train, val tabular.View, opts Options, cap time.Duration, rng *rand.Rand) (evaluation, bool) {
-	fitCost, err := p.Fit(train, rng)
-	fitTime, truncated := chargeCostCapped(opts.Meter, energy.Execution, fitCost, p.ParallelFrac(), cap)
-	if err != nil || truncated {
-		return evaluation{fitTime: fitTime}, false
-	}
-	proba, predCost := p.PredictProba(val)
-	predTime, truncated := chargeCostCapped(opts.Meter, energy.Execution, predCost, p.ParallelFrac(), cap-fitTime)
-	fitTime += predTime
-	if truncated {
-		return evaluation{fitTime: fitTime}, false
-	}
-	labels := metrics.ArgmaxRows(proba)
-	score := metrics.BalancedAccuracy(val.LabelsInto(nil), labels, val.Classes())
-	return evaluation{pipe: p, score: score, valProba: proba, fitTime: fitTime}, true
 }
 
 // objective scores an evaluation for model selection: validation balanced

@@ -117,7 +117,7 @@ func (f *FLAML) Fit(train tabular.View, opts Options) (*Result, error) {
 			advanceFamily(&active, len(states))
 			continue
 		}
-		ev, ok := evaluatePipeline(p, sample, val, meter, rng)
+		ev, ok := evaluatePipeline(p, sample, val, meter, noCap, rng)
 		evaluated++
 		if ok {
 			st.lastCost = ev.fitTime
@@ -166,15 +166,11 @@ func (f *FLAML) Fit(train tabular.View, opts Options) (*Result, error) {
 	}
 
 	if best.pipe == nil {
-		return tracker.finish(&Result{
-			System:    f.Name(),
-			Predictor: newMajorityPredictor(train),
-			Classes:   train.Classes(),
-		}), nil
+		return tracker.finish(MajorityResult(f.Name(), train)), nil
 	}
 	return tracker.finish(&Result{
 		System:     f.Name(),
-		Predictor:  singlePredictor(best.pipe),
+		Predictor:  best.pipe,
 		Classes:    train.Classes(),
 		Evaluated:  evaluated,
 		ValScore:   best.score,

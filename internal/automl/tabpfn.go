@@ -108,11 +108,7 @@ func (t *TabPFN) Fit(train tabular.View, opts Options) (*Result, error) {
 		// tasks beyond the limit it cannot produce useful predictions
 		// (the paper notes TabPFN's low average score stems from
 		// exactly these datasets).
-		return tracker.finish(&Result{
-			System:    t.Name(),
-			Predictor: newMajorityPredictor(train),
-			Classes:   train.Classes(),
-		}), nil
+		return tracker.finish(MajorityResult(t.Name(), train)), nil
 	}
 
 	context := train

@@ -70,30 +70,13 @@ func (t *TPOT) Fit(train tabular.View, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("tpot: %w", err)
 	}
 
+	// The last fold's model is the individual's representative.
 	evaluate := func(cfg pipeline.Config) (tpotIndividual, bool) {
-		ind := tpotIndividual{cfg: cfg}
-		trains, vals := train.KFold(folds, rng)
-		var scoreSum float64
-		evaluatedFolds := 0
-		for f := range trains {
-			p, err := spec.Build(cfg, train.Features())
-			if err != nil {
-				return ind, false
-			}
-			ev, ok := evaluatePipeline(p, trains[f], vals[f], meter, rng)
-			if !ok {
-				return ind, false
-			}
-			scoreSum += ev.score
-			evaluatedFolds++
-			ind.pipe = p // keep the last fold model as the representative
+		ev, ok := crossValidate(spec, cfg, train, folds, meter, nil, rng)
+		if !ok {
+			return tpotIndividual{}, false
 		}
-		if evaluatedFolds == 0 {
-			return ind, false
-		}
-		ind.score = scoreSum / float64(evaluatedFolds)
-		ind.complexity = configComplexity(space, cfg)
-		return ind, true
+		return tpotIndividual{cfg: cfg, score: ev.score, complexity: configComplexity(space, cfg), pipe: ev.pipe}, true
 	}
 
 	// Initial random population. TPOT works at generation granularity,
@@ -142,11 +125,7 @@ func (t *TPOT) Fit(train tabular.View, opts Options) (*Result, error) {
 	}
 
 	if len(population) == 0 {
-		return tracker.finish(&Result{
-			System:    t.Name(),
-			Predictor: newMajorityPredictor(train),
-			Classes:   train.Classes(),
-		}), nil
+		return tracker.finish(MajorityResult(t.Name(), train)), nil
 	}
 
 	// Return the accuracy-best individual, refit on the full training
@@ -170,7 +149,7 @@ func (t *TPOT) Fit(train tabular.View, opts Options) (*Result, error) {
 
 	return tracker.finish(&Result{
 		System:     t.Name(),
-		Predictor:  singlePredictor(final),
+		Predictor:  final,
 		Classes:    train.Classes(),
 		Evaluated:  evaluated,
 		ValScore:   best.score,

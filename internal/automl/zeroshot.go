@@ -79,7 +79,7 @@ func (z *ZeroShot) Fit(train tabular.View, opts Options) (*Result, error) {
 		if err != nil {
 			continue
 		}
-		ev, ok := evaluatePipeline(p, fitTrain, val, meter, rng)
+		ev, ok := evaluatePipeline(p, fitTrain, val, meter, noCap, rng)
 		evaluated++
 		if !ok {
 			continue
@@ -91,21 +91,17 @@ func (z *ZeroShot) Fit(train tabular.View, opts Options) (*Result, error) {
 	}
 
 	if best.pipe == nil {
-		return tracker.finish(&Result{
-			System:    z.Name(),
-			Predictor: newMajorityPredictor(train),
-			Classes:   train.Classes(),
-			Evaluated: evaluated,
-		}), nil
+		res := MajorityResult(z.Name(), train)
+		res.Evaluated = evaluated
+		return tracker.finish(res), nil
 	}
-	specCopy := spec
 	return tracker.finish(&Result{
 		System:     z.Name(),
-		Predictor:  singlePredictor(best.pipe),
+		Predictor:  best.pipe,
 		Classes:    train.Classes(),
 		Evaluated:  evaluated,
 		ValScore:   best.score,
-		BestSpec:   &specCopy,
+		BestSpec:   &spec,
 		BestConfig: best.config,
 	}), nil
 }
@@ -120,36 +116,15 @@ func DefaultZeroShotPortfolio() []pipeline.Config {
 	if err != nil {
 		return nil
 	}
-	base := space.Default()
-	modelIdx := func(name string) float64 {
-		p, ok := space.Lookup("model")
-		if !ok {
-			return 0
-		}
-		for i, choice := range p.Choices {
-			if choice == name {
-				return float64(i)
-			}
-		}
-		return 0
-	}
-	mk := func(model string, overrides pipeline.Config) pipeline.Config {
-		cfg := base.Clone()
-		cfg["model"] = modelIdx(model)
-		for k, v := range overrides {
-			cfg[k] = v
-		}
-		return cfg
-	}
 	return []pipeline.Config{
-		mk("logreg", pipeline.Config{"logreg.epochs": 25}),
-		mk("tree", pipeline.Config{"tree.max_depth": 10}),
-		mk("gaussian_nb", nil),
-		mk("knn", pipeline.Config{"knn.k": 5, "knn.weighted": 1}),
-		mk("gradient_boosting", pipeline.Config{"gradient_boosting.rounds": 50, "gradient_boosting.lr": 0.1}),
-		mk("random_forest", pipeline.Config{"random_forest.trees": 60, "random_forest.max_depth": 16}),
-		mk("extra_trees", pipeline.Config{"extra_trees.trees": 60}),
-		mk("mlp", pipeline.Config{"mlp.width": 48, "mlp.epochs": 30}),
+		space.Preset("logreg", pipeline.Config{"logreg.epochs": 25}),
+		space.Preset("tree", pipeline.Config{"tree.max_depth": 10}),
+		space.Preset("gaussian_nb", nil),
+		space.Preset("knn", pipeline.Config{"knn.k": 5, "knn.weighted": 1}),
+		space.Preset("gradient_boosting", pipeline.Config{"gradient_boosting.rounds": 50, "gradient_boosting.lr": 0.1}),
+		space.Preset("random_forest", pipeline.Config{"random_forest.trees": 60, "random_forest.max_depth": 16}),
+		space.Preset("extra_trees", pipeline.Config{"extra_trees.trees": 60}),
+		space.Preset("mlp", pipeline.Config{"mlp.width": 48, "mlp.epochs": 30}),
 	}
 }
 

@@ -16,6 +16,7 @@ type GaussianNB struct {
 	logPrior []float64
 	mean     [][]float64 // [class][feature]
 	variance [][]float64
+	logNorm  []float64 // [class*features+feature]: 0.5*log(2π·variance)
 }
 
 // NewGaussianNB constructs a Gaussian naive-Bayes classifier.
@@ -77,6 +78,12 @@ func (g *GaussianNB) Fit(ds tabular.View, _ *rand.Rand) (Cost, error) {
 			}
 		}
 	}
+	g.logNorm = make([]float64, k*d)
+	for c := 0; c < k; c++ {
+		for j, v := range g.variance[c] {
+			g.logNorm[c*d+j] = 0.5 * math.Log(2*math.Pi*v)
+		}
+	}
 	return Cost{Generic: float64(n) * float64(d) * 4}, nil
 }
 
@@ -89,9 +96,11 @@ func (g *GaussianNB) PredictProba(x tabular.View) ([][]float64, Cost) {
 	out := predictRows(x, g.classes, func(row, logp []float64) {
 		for c := range logp {
 			lp := g.logPrior[c]
+			mean := g.mean[c]
+			logNorm := g.logNorm[c*len(mean):]
 			for j, v := range row {
-				diff := v - g.mean[c][j]
-				lp -= 0.5*math.Log(2*math.Pi*g.variance[c][j]) + diff*diff/(2*g.variance[c][j])
+				diff := v - mean[j]
+				lp -= logNorm[j] + diff*diff/(2*g.variance[c][j])
 			}
 			logp[c] = lp
 		}

@@ -292,6 +292,26 @@ func TestSpaceDefault(t *testing.T) {
 			t.Errorf("%s default %v, want %v", p.Name, def[p.Name], p.Default)
 		}
 	}
+
+	// Preset: the family's model index, overrides over defaults, and
+	// Default() itself left untouched.
+	model, _ := space.Lookup("model")
+	rf := space.Preset("random_forest", Config{"random_forest.trees": 7, "scaler": 2})
+	if got := model.Choices[int(rf["model"])]; got != "random_forest" {
+		t.Errorf("Preset model %q, want random_forest", got)
+	}
+	if rf["random_forest.trees"] != 7 || rf["scaler"] != 2 {
+		t.Errorf("Preset overrides lost: trees %v, scaler %v", rf["random_forest.trees"], rf["scaler"])
+	}
+	if len(rf) != len(def) || rf["random_forest.max_depth"] != def["random_forest.max_depth"] {
+		t.Errorf("Preset does not start from the defaults: %v", rf)
+	}
+	if unknown := space.Preset("no_such_family", nil); unknown["model"] != 0 || unknown.Key() != def.Key() {
+		t.Errorf("unknown family preset %v, want the default config with model 0", unknown)
+	}
+	if again := space.Default(); again.Key() != def.Key() || again["random_forest.trees"] != def["random_forest.trees"] {
+		t.Errorf("Preset changed Default(): %v", again)
+	}
 }
 
 // pooledPassthrough is a test transformer that copies its input into a

@@ -187,6 +187,27 @@ func (s *Space) Default() Config {
 	return cfg
 }
 
+// Preset returns the default configuration with the model choice set to
+// family's index (0 when the space does not offer it) and overrides
+// applied on top: a curated configuration, as portfolios and fixed
+// candidate lists write them.
+func (s *Space) Preset(family string, overrides Config) Config {
+	cfg := s.Default()
+	cfg["model"] = 0
+	if p, ok := s.Lookup("model"); ok {
+		for i, choice := range p.Choices {
+			if choice == family {
+				cfg["model"] = float64(i)
+				break
+			}
+		}
+	}
+	for k, v := range overrides {
+		cfg[k] = v
+	}
+	return cfg
+}
+
 // Vector encodes a config as a fixed-length normalized feature vector for
 // surrogate models: floats/ints map to [0,1] (log-scaled where declared),
 // bools to {0,1}, choices to their normalized index.
