@@ -83,6 +83,14 @@ func (b *BoostingClassifier) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) 
 	// before the class loop, and shared read-only by its trees.
 	var presort *keyPresort
 	defer func() { presort.release() }()
+	// perm is every subsampled round's permutation. Neither the round's
+	// view (Select aliases the index slice) nor anything fitted from it
+	// outlives the round: the presort copies the rows into its keys and a
+	// fitted tree keeps only its nodes.
+	var perm []int
+	if p.Subsample < 1 {
+		perm = make([]int, n)
+	}
 	for r := 0; r < p.Rounds; r++ {
 		// Residuals for every class under current logits.
 		for i := 0; i < n; i++ {
@@ -105,7 +113,8 @@ func (b *BoostingClassifier) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) 
 			if m < 2 {
 				m = 2
 			}
-			useIdx = rng.Perm(n)[:m]
+			permInto(rng, perm)
+			useIdx = perm[:m]
 			fitView = ds.Select(useIdx)
 		}
 		if r == 0 || useIdx != nil {

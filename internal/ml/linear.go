@@ -68,9 +68,11 @@ func (lm *LinearModel) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) {
 	labels := ds.LabelsInto(nil)
 	proba := make([]float64, k)
 	rowBuf := make([]float64, d)
+	perm := make([]int, n)
 	step := 0
 	for epoch := 0; epoch < p.Epochs; epoch++ {
-		for _, i := range rng.Perm(n) {
+		permInto(rng, perm)
+		for _, i := range perm {
 			step++
 			row := ds.Row(i, rowBuf)
 			rowBuf = row

@@ -146,6 +146,20 @@ func normalizeInPlace(v []float64) {
 	}
 }
 
+// permInto fills perm with a random permutation of [0, len(perm)),
+// drawing exactly as rng.Perm(len(perm)) does (math/rand/v2's
+// Fisher-Yates), so a caller that reuses one buffer consumes the stream
+// and gets the order that the allocating call would.
+func permInto(rng *rand.Rand, perm []int) {
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := len(perm) - 1; i > 0; i-- {
+		j := int(rng.Uint64N(uint64(i + 1)))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+}
+
 // uniformProba returns n rows of uniform class probabilities.
 func uniformProba(n, classes int) [][]float64 {
 	out := probaSlab(n, classes)

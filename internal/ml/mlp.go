@@ -95,10 +95,12 @@ func (m *MLP) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) {
 	}
 
 	acts, deltas := m.layerBuffers(d), m.layerBuffers(d)
+	perm := make([]int, n)
 
 	for epoch := 0; epoch < p.Epochs; epoch++ {
 		eta := p.LearningRate / (1 + 0.05*float64(epoch))
-		for _, i := range rng.Perm(n) {
+		permInto(rng, perm)
+		for _, i := range perm {
 			ds.Row(i, acts[0])
 			m.forward(acts)
 			// Output delta: softmax cross-entropy gradient.

@@ -406,19 +406,15 @@ func (tc *treeCore) findSplit(task treeTask, lo, hi int, rng *rand.Rand) (featur
 	d := s.d
 	tryCount := tc.params.tryCount(d)
 	features := s.perm[:d]
-	for j := range features {
-		features[j] = j
-	}
 	if tryCount < d {
-		// Fisher-Yates over the scratch permutation, drawing exactly as
-		// math/rand/v2's Perm does, so the tried feature subsets — and
-		// therefore the fitted trees — match the historical
-		// rng.Perm(d)[:tryCount] draw for draw without its allocation.
-		for i := d - 1; i > 0; i-- {
-			j := int(rng.Uint64N(uint64(i + 1)))
-			features[i], features[j] = features[j], features[i]
-		}
+		// The tried feature subsets, and therefore the fitted trees,
+		// match the historical rng.Perm(d)[:tryCount] draw for draw.
+		permInto(rng, features)
 		features = features[:tryCount]
+	} else {
+		for j := range features {
+			features[j] = j
+		}
 	}
 
 	m := hi - lo

@@ -1,9 +1,11 @@
 package ml
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/tabular"
@@ -339,30 +341,26 @@ func compareNodes(t *testing.T, got, want *treeCore) {
 	}
 }
 
-// TestManualShuffleMatchesPerm pins the scratch Fisher-Yates to
-// math/rand/v2's Perm: the kernel relies on them consuming the stream
-// identically.
-func TestManualShuffleMatchesPerm(t *testing.T) {
+// TestPermIntoMatchesPerm pins the shared Fisher-Yates to math/rand/v2's
+// Perm: the tree, linear, MLP and boosting kernels rely on them producing
+// the same order and leaving the stream in the same state.
+func TestPermIntoMatchesPerm(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
-		for _, d := range []int{1, 2, 3, 7, 16, 40} {
-			a := rand.New(rand.NewPCG(seed, 99))
-			b := rand.New(rand.NewPCG(seed, 99))
-			want := a.Perm(d)
+		for _, d := range []int{0, 1, 2, 3, 7, 16, 40, 1000} {
+			pa, pb := rand.NewPCG(seed, 99), rand.NewPCG(seed, 99)
+			want := rand.New(pa).Perm(d)
 			got := make([]int, d)
 			for j := range got {
-				got[j] = j
+				got[j] = -1 // permInto must overwrite, not assume, the buffer
 			}
-			for i := d - 1; i > 0; i-- {
-				j := int(b.Uint64N(uint64(i + 1)))
-				got[i], got[j] = got[j], got[i]
+			permInto(rand.New(pb), got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d d %d: permInto %v != Perm %v", seed, d, got, want)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d d %d: manual shuffle %v != Perm %v", seed, d, got, want)
-				}
-			}
-			if a.Uint64() != b.Uint64() {
-				t.Fatalf("seed %d d %d: stream desynced", seed, d)
+			sa, _ := pa.MarshalBinary()
+			sb, _ := pb.MarshalBinary()
+			if !bytes.Equal(sa, sb) {
+				t.Fatalf("seed %d d %d: stream state differs after the permutation", seed, d)
 			}
 		}
 	}

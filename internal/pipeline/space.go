@@ -12,6 +12,7 @@ package pipeline
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -140,13 +141,26 @@ func (c Config) Key() string {
 	return out
 }
 
-// Sample draws a uniform random configuration from the space.
+// Sample draws a uniform random configuration from the space: the map
+// form of SampleInto.
 func (s *Space) Sample(rng *rand.Rand) Config {
+	vals := make([]float64, len(s.Params))
+	s.SampleInto(vals, rng)
 	cfg := make(Config, len(s.Params))
-	for _, p := range s.Params {
-		cfg[p.Name] = sampleParam(p, rng)
+	for j, p := range s.Params {
+		cfg[p.Name] = vals[j]
 	}
 	return cfg
+}
+
+// SampleInto draws a uniform random configuration into vals, one raw
+// value per parameter in space order. It is the one place the sampling
+// draws are made, so Sample and a caller that keeps configurations as
+// raw rows consume the RNG identically.
+func (s *Space) SampleInto(vals []float64, rng *rand.Rand) {
+	for j, p := range s.Params {
+		vals[j] = sampleParam(p, rng)
+	}
 }
 
 func sampleParam(p Param, rng *rand.Rand) float64 {
@@ -209,64 +223,103 @@ func (s *Space) Preset(family string, overrides Config) Config {
 }
 
 // Vector encodes a config as a fixed-length normalized feature vector for
-// surrogate models: floats/ints map to [0,1] (log-scaled where declared),
-// bools to {0,1}, choices to their normalized index.
+// surrogate models, one Encode per parameter; a parameter the config
+// does not set encodes its Default.
 func (s *Space) Vector(cfg Config) []float64 {
 	vec := make([]float64, len(s.Params))
 	for i, p := range s.Params {
-		v, ok := cfg[p.Name]
-		if !ok {
-			v = p.Default
-		}
-		switch p.Kind {
-		case Float, Int:
-			if p.Max <= p.Min {
-				vec[i] = 0
-			} else if p.Log && p.Min > 0 {
-				vec[i] = (math.Log(clampF(v, p.Min, p.Max)) - math.Log(p.Min)) / (math.Log(p.Max) - math.Log(p.Min))
-			} else {
-				vec[i] = (clampF(v, p.Min, p.Max) - p.Min) / (p.Max - p.Min)
-			}
-		case Bool:
-			if v >= 0.5 {
-				vec[i] = 1
-			}
-		case Choice:
-			if len(p.Choices) > 1 {
-				vec[i] = clampF(v, 0, float64(len(p.Choices)-1)) / float64(len(p.Choices)-1)
-			}
-		}
+		vec[i] = p.Encode(cfg.Float(p.Name, p.Default))
 	}
 	return vec
 }
 
+// Encode maps a raw value of p to the surrogate's feature scale:
+// floats/ints to [0,1] (log-scaled where declared), bools to {0,1},
+// choices to their normalized index.
+func (p Param) Encode(v float64) float64 {
+	switch p.Kind {
+	case Float, Int:
+		if p.Max <= p.Min {
+			return 0
+		}
+		if p.Log && p.Min > 0 {
+			return (math.Log(clampF(v, p.Min, p.Max)) - math.Log(p.Min)) / (math.Log(p.Max) - math.Log(p.Min))
+		}
+		return (clampF(v, p.Min, p.Max) - p.Min) / (p.Max - p.Min)
+	case Bool:
+		if v >= 0.5 {
+			return 1
+		}
+	case Choice:
+		if len(p.Choices) > 1 {
+			return clampF(v, 0, float64(len(p.Choices)-1)) / float64(len(p.Choices)-1)
+		}
+	}
+	return 0
+}
+
+// Values reads cfg into raw form: vals[j] and set[j] are the value of
+// parameter j and whether cfg sets it. An unset parameter reads 0, as a
+// map lookup does.
+func (s *Space) Values(cfg Config, vals []float64, set []bool) {
+	for j, p := range s.Params {
+		vals[j], set[j] = cfg[p.Name]
+	}
+}
+
+// WithValues returns a copy of base (nil for an empty one) in which every
+// parameter j that set marks holds vals[j]: the map form of a raw
+// configuration. Keys of base outside the space are kept.
+func (s *Space) WithValues(base Config, vals []float64, set []bool) Config {
+	out := make(Config, max(len(base), len(s.Params)))
+	maps.Copy(out, base)
+	for j, p := range s.Params {
+		if set[j] {
+			out[p.Name] = vals[j]
+		}
+	}
+	return out
+}
+
 // Mutate returns a copy of cfg with roughly `strength` fraction of
 // parameters resampled locally (Gaussian perturbation for numeric, uniform
-// redraw for categorical). At least one parameter always changes.
+// redraw for categorical): the map form of MutateInto. At least one
+// parameter always changes.
 func (s *Space) Mutate(cfg Config, strength float64, rng *rand.Rand) Config {
-	out := cfg.Clone()
+	vals := make([]float64, len(s.Params))
+	set := make([]bool, len(s.Params))
+	s.Values(cfg, vals, set)
+	s.MutateInto(vals, set, strength, rng)
+	return s.WithValues(cfg, vals, set)
+}
+
+// MutateInto mutates the raw configuration (vals, set), as Values reads
+// it, in place. It is the one place the mutation draws are made. Every
+// parameter the mutation draws is marked set, even when its value does
+// not change; a redraw of the guaranteed change is marked only when it
+// differs.
+func (s *Space) MutateInto(vals []float64, set []bool, strength float64, rng *rand.Rand) {
 	changed := false
-	for _, p := range s.Params {
+	for j, p := range s.Params {
 		if rng.Float64() > strength {
 			continue
 		}
-		v := perturbParam(p, out[p.Name], rng)
-		if v != out[p.Name] {
+		v := perturbParam(p, vals[j], rng)
+		if v != vals[j] {
 			changed = true
 		}
-		out[p.Name] = v
+		vals[j], set[j] = v, true
 	}
 	// Guarantee a real change: categorical/boolean perturbations can
 	// re-draw the current value, so retry until one parameter differs.
 	for attempts := 0; !changed && len(s.Params) > 0 && attempts < 32; attempts++ {
-		p := s.Params[rng.IntN(len(s.Params))]
-		v := perturbParam(p, out[p.Name], rng)
-		if v != out[p.Name] {
-			out[p.Name] = v
+		j := rng.IntN(len(s.Params))
+		v := perturbParam(s.Params[j], vals[j], rng)
+		if v != vals[j] {
+			vals[j], set[j] = v, true
 			changed = true
 		}
 	}
-	return out
 }
 
 func perturbParam(p Param, cur float64, rng *rand.Rand) float64 {

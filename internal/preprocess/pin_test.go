@@ -88,3 +88,73 @@ func pinFloat(h hash.Hash, v float64) {
 	binary.LittleEndian.PutUint64(buf[:], bits)
 	h.Write(buf[:])
 }
+
+// pcaPinDigest is the SHA-256 of every case's PCA FitTransform and
+// Transform outputs and Costs, recorded before the power iteration
+// double-buffered its vectors.
+const pcaPinDigest = "52b43b279749bf2411c564c5b3b2237e1852d628a2ddb84fa2f82bf1fb815621"
+
+// TestPCAIsExact pins PCA's power iteration: full-rank and rank-deficient
+// frames, on a contiguous and a subset view, with K below and above the
+// width. The all-constant frame has a zero covariance, so every component
+// takes the early break and keeps its random start vector.
+func TestPCAIsExact(t *testing.T) {
+	h := sha256.New()
+	r := rand.New(rand.NewPCG(6, 0x5e))
+	frames := make([]*tabular.Frame, 3)
+	for f := range frames {
+		x := make([][]float64, 50)
+		y := make([]int, len(x))
+		for i := range x {
+			a, b := r.NormFloat64()*4, r.NormFloat64()
+			switch f {
+			case 0:
+				x[i] = []float64{a, b, r.NormFloat64() * 2, a - b, r.Float64()}
+			case 1:
+				x[i] = []float64{a, 2 * a, 1.5, -a, b}
+			default:
+				x[i] = []float64{3, -1, 0.25}
+			}
+			y[i] = i % 2
+		}
+		frames[f] = labeled("pca", x, y, 2)
+	}
+	for _, fr := range frames {
+		for _, subset := range []bool{false, true} {
+			tr := fr.All()
+			if subset {
+				tr = tr.Select(rand.New(rand.NewPCG(7, 0x5e)).Perm(tr.Rows())[:35])
+			}
+			for _, k := range []int{2, 8} {
+				p := &PCA{K: k}
+				out, fitCost, err := p.FitTransform(tr, testRNG(uint64(k)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for a := range p.components {
+					for b := a + 1; b < len(p.components); b++ {
+						if &p.components[a][0] == &p.components[b][0] {
+							t.Fatalf("components %d and %d share memory", a, b)
+						}
+					}
+				}
+				again, cost := p.Transform(fr.All())
+				for _, v := range []tabular.View{out, again} {
+					for j := 0; j < v.Features(); j++ {
+						for i := 0; i < v.Rows(); i++ {
+							pinFloat(h, v.At(i, j))
+						}
+					}
+				}
+				for _, c := range []ml.Cost{fitCost, cost} {
+					pinFloat(h, c.Generic)
+					pinFloat(h, c.Tree)
+					pinFloat(h, c.Matrix)
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pcaPinDigest {
+		t.Fatalf("PCA outputs or Cost moved: digest %s, pinned %s", got, pcaPinDigest)
+	}
+}

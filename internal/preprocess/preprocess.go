@@ -593,13 +593,17 @@ func (p *PCA) FitTransform(ds tabular.View, rng *rand.Rand) (tabular.View, ml.Co
 	}
 	const iters = 30
 	p.components = make([][]float64, 0, k)
+	// The power iteration double-buffers vec with spare. Each component
+	// keeps the buffer vec holds when it ends, and spare is never one of
+	// them.
+	spare := make([]float64, d)
 	for c := 0; c < k; c++ {
 		vec := make([]float64, d)
 		for j := range vec {
 			vec[j] = rng.NormFloat64()
 		}
 		for it := 0; it < iters; it++ {
-			next := make([]float64, d)
+			next := spare
 			for a := 0; a < d; a++ {
 				var sum float64
 				for b := 0; b < d; b++ {
@@ -614,7 +618,7 @@ func (p *PCA) FitTransform(ds tabular.View, rng *rand.Rand) (tabular.View, ml.Co
 			for j := range next {
 				next[j] /= norm
 			}
-			vec = next
+			vec, spare = next, vec
 		}
 		// Deflate.
 		lambda := rayleigh(cov, vec)

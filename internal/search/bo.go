@@ -26,8 +26,15 @@ type Observation struct {
 // auto-sklearn (SMAC-style) and CAML. The surrogate's own compute is
 // returned from Suggest so callers can charge it to the energy meter: BO
 // overhead is part of execution energy.
+//
+// BO works in encoded vector space: Observe encodes each configuration
+// once into per-parameter history columns, and Suggest scores its
+// candidate pool as raw value rows in buffers the BO owns and reuses
+// across calls. Only the winning candidate becomes a Config. A BO is not
+// safe for concurrent use.
 type BO struct {
-	// Space is the configuration space searched.
+	// Space is the configuration space searched. It must not change
+	// once the first configuration is observed.
 	Space *pipeline.Space
 	// Candidates is the number of random/mutated candidates scored per
 	// suggestion (default 64).
@@ -40,15 +47,34 @@ type BO struct {
 
 	obs []Observation
 	rng *rand.Rand
+
+	// hist holds every observed configuration encoded, one column per
+	// parameter, and scores their scores: the surrogate's training set.
+	hist   *tabular.Frame
+	scores []float64
+	// The candidate pool, one row of len(Space.Params) per candidate:
+	// raw values and which of them are set, as Space.Values reads them,
+	// and pool, the same rows encoded column-major for the surrogate.
+	raw  []float64
+	set  []bool
+	pool *tabular.Frame
 }
 
 // NewBO constructs a Bayesian optimizer over the space.
 func NewBO(space *pipeline.Space, rng *rand.Rand) *BO {
-	return &BO{Space: space, Candidates: 64, Xi: 0.01, MinObservations: 3, rng: rng}
+	return &BO{
+		Space: space, Candidates: 64, Xi: 0.01, MinObservations: 3, rng: rng,
+		hist: &tabular.Frame{Cols: make([][]float64, len(space.Params))},
+	}
 }
 
-// Observe records an evaluated configuration.
+// Observe records an evaluated configuration. It encodes cfg when it is
+// called, so the caller must not mutate cfg afterwards.
 func (b *BO) Observe(cfg pipeline.Config, score float64) {
+	for j, p := range b.Space.Params {
+		b.hist.Cols[j] = append(b.hist.Cols[j], p.Encode(cfg.Float(p.Name, p.Default)))
+	}
+	b.scores = append(b.scores, score)
 	b.obs = append(b.obs, Observation{Config: cfg, Score: score})
 }
 
@@ -70,60 +96,93 @@ func (b *BO) Best() (Observation, bool) {
 }
 
 // Suggest proposes the next configuration to evaluate and reports the
-// surrogate compute cost incurred.
+// surrogate compute cost incurred. The returned config is always a fresh
+// map the caller owns.
 func (b *BO) Suggest() (pipeline.Config, ml.Cost) {
 	if len(b.obs) < b.MinObservations {
 		return b.Space.Sample(b.rng), ml.Cost{}
 	}
 
 	// Fit the surrogate on the history.
-	xs := make([][]float64, len(b.obs))
-	ys := make([]float64, len(b.obs))
-	for i, o := range b.obs {
-		xs[i] = b.Space.Vector(o.Config)
-		ys[i] = o.Score
-	}
 	surrogate := ml.NewForestRegressor(ml.ForestParams{
 		Trees:     20,
 		Bootstrap: true,
 		Tree:      ml.TreeParams{MaxDepth: 12, MinSamplesLeaf: 1, MaxFeatures: 0.8},
 	})
-	cost, err := surrogate.FitReg(tabular.FromRows(xs), ys, b.rng)
+	cost, err := surrogate.FitReg(b.hist.All(), b.scores, b.rng)
 	if err != nil {
 		return b.Space.Sample(b.rng), cost
 	}
 
 	// Candidate pool: random samples plus local mutations of the best.
-	n := b.Candidates
-	if n < 4 {
-		n = 4
-	}
-	candidates := make([]pipeline.Config, 0, n)
+	n := max(b.Candidates, 4)
 	best, _ := b.Best()
-	for i := 0; i < n; i++ {
-		if i%3 == 0 {
-			candidates = append(candidates, b.Space.Mutate(best.Config, 0.3, b.rng))
-		} else {
-			candidates = append(candidates, b.Space.Sample(b.rng))
-		}
-	}
-	vecs := make([][]float64, len(candidates))
-	for i, c := range candidates {
-		vecs[i] = b.Space.Vector(c)
-	}
-	mean, std, predCost := surrogate.PredictWithStd(tabular.FromRows(vecs))
+	b.drawPool(n, best.Config)
+	mean, std, predCost := surrogate.PredictWithStd(b.pool.All())
 	cost.Add(predCost)
 
 	bestEI := math.Inf(-1)
 	pick := 0
-	for i := range candidates {
+	for i := range n {
 		ei := expectedImprovement(mean[i], std[i], best.Score, b.Xi)
 		if ei > bestEI {
 			bestEI = ei
 			pick = i
 		}
 	}
-	return candidates[pick], cost
+	var base pipeline.Config
+	if isMutation(pick) {
+		base = best.Config
+	}
+	d := len(b.Space.Params)
+	return b.Space.WithValues(base, b.raw[pick*d:(pick+1)*d], b.set[pick*d:(pick+1)*d]), cost
+}
+
+// isMutation reports whether pool candidate i mutates the best
+// observation rather than sampling the space.
+func isMutation(i int) bool { return i%3 == 0 }
+
+// drawPool draws n candidates into the pool buffers, in candidate order:
+// candidate i mutates best with strength 0.3 when isMutation(i) and
+// samples the space otherwise. It then encodes the pool into b.pool.
+func (b *BO) drawPool(n int, best pipeline.Config) {
+	s := b.Space
+	d := len(s.Params)
+	if cap(b.raw) < (n+1)*d {
+		b.raw, b.set = make([]float64, (n+1)*d), make([]bool, (n+1)*d)
+	}
+	raw, set := b.raw[:n*d], b.set[:n*d]
+	// The row past the pool holds best's raw values, the base of every
+	// mutated candidate.
+	bestVals, bestSet := b.raw[n*d:(n+1)*d], b.set[n*d:(n+1)*d]
+	s.Values(best, bestVals, bestSet)
+	for i := range n {
+		vals, vset := raw[i*d:(i+1)*d], set[i*d:(i+1)*d]
+		if isMutation(i) {
+			copy(vals, bestVals)
+			copy(vset, bestSet)
+			s.MutateInto(vals, vset, 0.3, b.rng)
+		} else {
+			s.SampleInto(vals, b.rng)
+			for j := range vset {
+				vset[j] = true
+			}
+		}
+	}
+
+	if b.pool == nil || b.pool.Rows() != n || b.pool.Features() != d {
+		b.pool = tabular.NewFrame("", n, d)
+	}
+	for j, p := range s.Params {
+		col := b.pool.Cols[j]
+		for i := range col {
+			v := p.Default
+			if set[i*d+j] {
+				v = raw[i*d+j]
+			}
+			col[i] = p.Encode(v)
+		}
+	}
 }
 
 // expectedImprovement computes EI for maximization.

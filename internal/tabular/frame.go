@@ -107,8 +107,8 @@ func (f *Frame) Release() {
 }
 
 // FromRows builds an unlabeled frame from row-major data. It is the one
-// row-to-column adapter, for inputs that arrive as rows: Bayesian
-// optimization's config vectors. Every row must be as wide as row 0.
+// row-to-column adapter, for test fixtures written as rows. Every row
+// must be as wide as row 0.
 func FromRows(x [][]float64) View {
 	if len(x) == 0 {
 		return (&Frame{}).All()

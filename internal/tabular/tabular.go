@@ -12,9 +12,10 @@
 // over a shared Frame rather than matrix copies.
 //
 // ReadCSV parses straight into a Frame. FromRows is the one row-major
-// adapter, kept for the rows that really arrive as rows: Bayesian
-// optimization's config vectors. (The serving engine gathers its request
-// batches into a Frame of its own, reused from batch to batch.)
+// adapter; no production path uses it. Bayesian optimization encodes its
+// configurations straight into frame columns, and the serving engine
+// gathers its request batches into a Frame of its own, reused from batch
+// to batch.
 package tabular
 
 import "math/rand/v2"
