@@ -5,6 +5,9 @@
 //
 //	greenbench -experiment fig3 [-seeds 3] [-datasets 39] [-quick]
 //
+// -cpuprofile and -memprofile write pprof CPU and allocation profiles of
+// the run; they change no output.
+//
 // Experiments: fig3 fig4 fig5 fig6 fig7 table3 table4 table5 table6
 // table7 table8 table9 winners all. Figure 8 is a decision procedure; use the
 // greenrecommend command.
@@ -26,6 +29,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strconv"
 	"strings"
@@ -76,6 +81,9 @@ type options struct {
 	repoReadonly     bool
 	repoAllowDamage  bool
 	simulateEnsemble bool
+
+	cpuProfile string
+	memProfile string
 
 	// shardSpec is the parsed -shard value, filled by validate.
 	shardSpec bench.ShardSpec
@@ -226,6 +234,8 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.repoReadonly, "repo-readonly", false, "consult -repo without writing executed cells back")
 	fs.BoolVar(&o.repoAllowDamage, "repo-allow-damage", false, "treat damaged -repo cells as misses (the cells rerun) instead of refusing the store")
 	fs.BoolVar(&o.simulateEnsemble, "simulate-ensemble", false, "simulate greedy ensemble selection over the predictions stored in -repo — no fits, lookup+blend energy only")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile to this file after the run (go tool pprof format)")
 	return fs
 }
 
@@ -244,11 +254,66 @@ func main() {
 		fmt.Fprintln(os.Stderr, "greenbench:", err)
 		os.Exit(2)
 	}
+	if err := profiled(o.cpuProfile, o.memProfile, func() error { return runMode(o, cfg) }); err != nil {
+		fmt.Fprintln(os.Stderr, "greenbench:", err)
+		os.Exit(1)
+	}
+}
+
+// profiled runs fn under the CPU profiler when cpuPath is set and writes
+// the allocation profile to memPath after it returns; empty paths turn
+// either off. Profiles cover this process only (coordinator shards do
+// not inherit the flags). fn's error wins over a profile-writing error.
+func profiled(cpuPath, memPath string, fn func() error) error {
+	var cpu *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		cpu = f
+	}
+	err := fn()
+	if cpu != nil {
+		pprof.StopCPUProfile()
+		if cerr := cpu.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("-cpuprofile: %w", cerr)
+		}
+	}
+	if memPath != "" {
+		if perr := writeAllocProfile(memPath); err == nil && perr != nil {
+			err = fmt.Errorf("-memprofile: %w", perr)
+		}
+	}
+	return err
+}
+
+// writeAllocProfile writes the allocs profile (every sampled allocation
+// since the process started, plus the live heap as of a fresh GC).
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// runMode runs the mode the validated flags select: a shard, a merge, a
+// coordinator, an ensemble simulation, or the listed experiments.
+func runMode(o options, cfg bench.Config) error {
 	if o.repoDir != "" {
 		rp, err := repo.Open(o.repoDir, repo.Options{ReadOnly: o.repoReadonly, AllowDamage: o.repoAllowDamage})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "greenbench:", err)
-			os.Exit(1)
+			return err
 		}
 		cfg.Repo = rp
 	}
@@ -265,20 +330,15 @@ func main() {
 
 	switch {
 	case o.shard != "":
-		err = runShardMode(o, cfg)
+		return runShardMode(o, cfg)
 	case o.merge != "":
-		err = runMergeMode(o, cfg, meta)
+		return runMergeMode(o, cfg, meta)
 	case o.coordinator:
-		err = runCoordinatorMode(o, cfg, meta)
+		return runCoordinatorMode(o, cfg, meta)
 	case o.simulateEnsemble:
-		err = runSimulateMode(cfg)
+		return runSimulateMode(cfg)
 	default:
-		ids := experimentIDs(o.experiment)
-		err = run(ids, cfg, meta, o.csvPath, o.jsonPath, o.svgDir, o.reportDir, o.journal, nil)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "greenbench:", err)
-		os.Exit(1)
+		return run(experimentIDs(o.experiment), cfg, meta, o.csvPath, o.jsonPath, o.svgDir, o.reportDir, o.journal, nil)
 	}
 }
 

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -309,5 +312,50 @@ func TestForwardedArgsParse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(forwardedArgs(got), forwardedArgs(o)) {
 		t.Errorf("forwarded flags did not round-trip:\n got  %q\n want %q", forwardedArgs(got), forwardedArgs(o))
+	}
+}
+
+// TestProfileFlagsChangeNoOutput runs one -quick fig3 grid with
+// -cpuprofile and -memprofile and one without: both profiles must be
+// written and non-empty, and the CSV exports must be byte-identical.
+func TestProfileFlagsChangeNoOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a small grid twice")
+	}
+	dir := t.TempDir()
+	exportCSV := func(name string, extra ...string) []byte {
+		t.Helper()
+		var o options
+		path := filepath.Join(dir, name)
+		args := append([]string{"-experiment", "fig3", "-quick", "-names", "credit-g", "-csv", path}, extra...)
+		if err := newFlagSet(&o).Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.validate(); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := gridConfig(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := profiled(o.cpuProfile, o.memProfile, func() error { return runMode(o, cfg) }); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	plain := exportCSV("plain.csv")
+	withProfiles := exportCSV("profiled.csv", "-cpuprofile", cpu, "-memprofile", mem)
+	if !bytes.Equal(plain, withProfiles) {
+		t.Error("profiling changed the fig3 CSV export")
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s missing or empty (err %v)", filepath.Base(p), err)
+		}
 	}
 }

@@ -14,9 +14,9 @@ import (
 // the inputs of scripts/bench.sh, which folds min-of-N runs into
 // BENCH_4.json and gates kernel PRs on regressions.
 
-// BenchmarkKNNFit measures kNN training (column memorization) — cheap by
-// design, recorded so a regression into copying or row-major gathering
-// shows up.
+// BenchmarkKNNFit measures kNN training (column memorization): one copy
+// of the training columns into storage the model owns, recorded so a
+// regression into per-column allocation or row-major gathering shows up.
 func BenchmarkKNNFit(b *testing.B) {
 	ds := benchDataset(600, 16, 3, 2)
 	b.ReportAllocs()

@@ -27,9 +27,11 @@ func (p KNNParams) normalized() KNNParams {
 // the cost profile that makes lazy learners expensive at inference.
 type KNN struct {
 	Params KNNParams
-	// cols memorizes the training set in column order: aliases of the
-	// training frame's columns for identity views (zero-copy), gathered
-	// copies for subset views.
+	// cols memorizes the training set in column order, one column per
+	// slice of a single n*d slab that the model owns. Like every model,
+	// kNN keeps no reference into its training frame's float columns,
+	// which may be pooled, so the pipeline may release that frame once
+	// Fit returns. y may alias the frame's labels, which are never pooled.
 	cols    [][]float64
 	y       []int
 	classes int
@@ -43,10 +45,15 @@ func NewKNN(p KNNParams) *KNN {
 // Fit implements Classifier.
 func (k *KNN) Fit(ds tabular.View, _ *rand.Rand) (Cost, error) {
 	k.Params = k.Params.normalized()
-	d := ds.Features()
+	n, d := ds.Rows(), ds.Features()
+	slab := make([]float64, n*d)
 	k.cols = make([][]float64, d) //greenlint:allow rowmajor columnar training-column table, one slice per feature
-	for j := 0; j < d; j++ {
-		k.cols[j] = ds.ColInto(j, nil)
+	for j := range k.cols {
+		col := slab[j*n : (j+1)*n : (j+1)*n]
+		// A subset view gathers into col; an identity view returns the
+		// frame's own column, which is copied.
+		copy(col, ds.ColInto(j, col))
+		k.cols[j] = col
 	}
 	k.y = ds.LabelsInto(nil)
 	k.classes = ds.Classes()

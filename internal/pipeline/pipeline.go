@@ -41,10 +41,11 @@ func releaseUnless(v tabular.View, protect ...*tabular.Frame) {
 }
 
 // Fit trains the preprocessors and the model on ds and returns the total
-// training cost. Intermediate transform frames are returned to the frame
-// pool as soon as the next stage has consumed them; the final transform
-// output stays alive because models may retain zero-copy aliases of its
-// columns (kNN memorizes them).
+// training cost. The pipeline releases every frame it creates: each
+// intermediate transform frame goes back to the frame pool as soon as the
+// next stage has consumed it, and the final one once the model has fit,
+// since no model keeps a reference into its training frame's float
+// columns (labels are never pooled). The caller's ds is never released.
 func (p *Pipeline) Fit(ds tabular.View, rng *rand.Rand) (ml.Cost, error) {
 	if p.Model == nil {
 		return ml.Cost{}, fmt.Errorf("pipeline: nil model")
@@ -63,10 +64,8 @@ func (p *Pipeline) Fit(ds tabular.View, rng *rand.Rand) (ml.Cost, error) {
 	}
 	c, err := p.Model.Fit(cur, rng)
 	cost.Add(c)
+	releaseUnless(cur, ds.Frame())
 	if err != nil {
-		// The abandoned pipeline will never predict, so any aliases the
-		// model took of cur's columns die with it — safe to pool the frame.
-		releaseUnless(cur, ds.Frame())
 		return cost, fmt.Errorf("pipeline: %s: %w", p.Model.Name(), err)
 	}
 	p.fitted = true

@@ -12,10 +12,13 @@
 // Transforms are column-wise over the input view and write into pooled
 // output frames (tabular.NewPooledFrame), so per-call outputs recycle
 // memory instead of churning the allocator. The returned view is the
-// identity view of a frame the CALLER owns: the pipeline releases
-// intermediate frames once the next stage has consumed them (see DESIGN.md
-// "Data layout"). Identity passes its input through unchanged, so callers
-// must never release a stage output that is the stage input.
+// identity view of a frame the CALLER owns. The ownership rule has no
+// exceptions: the pipeline releases every frame it creates, each one as
+// soon as the next stage or the model has consumed it, and no model
+// keeps a reference into its training frame's float columns, the only
+// pooled part of a frame (see DESIGN.md "Data layout"). Identity passes
+// its input through unchanged, so callers must never release a stage
+// output that is the stage input.
 package preprocess
 
 import (
