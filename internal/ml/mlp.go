@@ -98,7 +98,7 @@ func (m *MLP) Fit(ds tabular.View, rng *rand.Rand) (Cost, error) {
 	perm := make([]int, n)
 
 	for epoch := 0; epoch < p.Epochs; epoch++ {
-		eta := p.LearningRate / (1 + 0.05*float64(epoch))
+		eta := p.LearningRate / (1 + float64(0.05*float64(epoch)))
 		permInto(rng, perm)
 		for _, i := range perm {
 			ds.Row(i, acts[0])
@@ -136,20 +136,39 @@ func (m *MLP) layerBuffers(d int) [][]float64 {
 }
 
 // forward propagates acts[0] through every layer, writing each layer's
-// output into the next buffer of acts.
+// output into the next buffer of acts. Outputs go four per pass over
+// the input, each with its own accumulator: the four dependency chains
+// overlap, and each sum still adds its products in input order, so
+// every output keeps its bits. Each multiply-add rounds its product
+// (float64(x*y) + z), so no compiler fuses it on any architecture.
+//
+//greenlint:hotpath per-sample SGD forward pass and per-row predict; writes only the caller's buffers
 func (m *MLP) forward(acts [][]float64) {
 	for l, layer := range m.layers {
 		in, out := acts[l], acts[l+1]
-		for o, w := range layer.w {
+		w := layer.w
+		o := 0
+		for ; o+4 <= len(w); o += 4 {
+			w0, w1, w2, w3 := w[o][:len(in)], w[o+1][:len(in)], w[o+2][:len(in)], w[o+3][:len(in)]
+			var s0, s1, s2, s3 float64
+			for j, v := range in {
+				s0 += float64(w0[j] * v)
+				s1 += float64(w1[j] * v)
+				s2 += float64(w2[j] * v)
+				s3 += float64(w3[j] * v)
+			}
+			out[o] = layer.activate(o, s0)
+			out[o+1] = layer.activate(o+1, s1)
+			out[o+2] = layer.activate(o+2, s2)
+			out[o+3] = layer.activate(o+3, s3)
+		}
+		for ; o < len(w); o++ {
+			wo := w[o][:len(in)]
 			var sum float64
 			for j, v := range in {
-				sum += w[j] * v
+				sum += float64(wo[j] * v)
 			}
-			sum += layer.b[o]
-			if !layer.last && sum < 0 {
-				sum = 0 // ReLU
-			}
-			out[o] = sum
+			out[o] = layer.activate(o, sum)
 		}
 		if layer.last {
 			softmaxInPlace(out)
@@ -157,25 +176,46 @@ func (m *MLP) forward(acts [][]float64) {
 	}
 }
 
+// activate adds output o's bias to its weighted sum and applies ReLU
+// on a hidden layer; the last layer's softmax runs over the whole row.
+func (layer *mlpLayer) activate(o int, sum float64) float64 {
+	sum += layer.b[o]
+	if !layer.last && sum < 0 {
+		sum = 0 // ReLU
+	}
+	return sum
+}
+
+// backward propagates the output delta down the layers and takes one
+// SGD step on every weight row whose delta g is nonzero. A row with
+// g == 0 is skipped entirely: no gradient, and no L2 decay either. The
+// live rows go four at a time, so each pass over the input loads and
+// stores prev[j] once for four rows and adds their terms in ascending
+// row order, the order a row-by-row loop adds them in.
+//
+//greenlint:hotpath per-sample SGD backward pass; updates the weights in place
 func (m *MLP) backward(acts, deltas [][]float64, eta, l2 float64) {
 	for l := len(m.layers) - 1; l >= 0; l-- {
 		layer := m.layers[l]
 		in := acts[l]
 		delta := deltas[l+1]
 		prev := deltas[l]
-		for j := range prev {
-			prev[j] = 0
-		}
-		for o, w := range layer.w {
-			g := delta[o]
+		clear(prev)
+		var live [4]int
+		n := 0
+		for o, g := range delta {
 			if g == 0 {
 				continue
 			}
-			for j, v := range in {
-				prev[j] += w[j] * g
-				w[j] -= eta * (g*v + l2*w[j])
+			live[n] = o
+			n++
+			if n == len(live) {
+				layer.step4(in, prev, delta, live, eta, l2)
+				n = 0
 			}
-			layer.b[o] -= eta * g
+		}
+		for _, o := range live[:n] {
+			layer.step1(in, prev, o, delta[o], eta, l2)
 		}
 		// ReLU derivative for the layer below (skip input layer).
 		if l > 0 {
@@ -186,6 +226,39 @@ func (m *MLP) backward(acts, deltas [][]float64, eta, l2 float64) {
 			}
 		}
 	}
+}
+
+// step4 backpropagates rows o[0] < o[1] < o[2] < o[3] into prev and
+// takes their SGD steps. Each weight is read once: its old value feeds
+// both prev and its own update.
+func (layer *mlpLayer) step4(in, prev, delta []float64, o [4]int, eta, l2 float64) {
+	prev = prev[:len(in)]
+	w0, w1, w2, w3 := layer.w[o[0]][:len(in)], layer.w[o[1]][:len(in)], layer.w[o[2]][:len(in)], layer.w[o[3]][:len(in)]
+	g0, g1, g2, g3 := delta[o[0]], delta[o[1]], delta[o[2]], delta[o[3]]
+	for j, v := range in {
+		a0, a1, a2, a3 := w0[j], w1[j], w2[j], w3[j]
+		prev[j] = prev[j] + float64(a0*g0) + float64(a1*g1) + float64(a2*g2) + float64(a3*g3)
+		w0[j] = a0 - float64(eta*(float64(g0*v)+float64(l2*a0)))
+		w1[j] = a1 - float64(eta*(float64(g1*v)+float64(l2*a1)))
+		w2[j] = a2 - float64(eta*(float64(g2*v)+float64(l2*a2)))
+		w3[j] = a3 - float64(eta*(float64(g3*v)+float64(l2*a3)))
+	}
+	layer.b[o[0]] -= float64(eta * g0)
+	layer.b[o[1]] -= float64(eta * g1)
+	layer.b[o[2]] -= float64(eta * g2)
+	layer.b[o[3]] -= float64(eta * g3)
+}
+
+// step1 is step4 for one row.
+func (layer *mlpLayer) step1(in, prev []float64, o int, g, eta, l2 float64) {
+	prev = prev[:len(in)]
+	w := layer.w[o][:len(in)]
+	for j, v := range in {
+		a := w[j]
+		prev[j] += float64(a * g)
+		w[j] = a - float64(eta*(float64(g*v)+float64(l2*a)))
+	}
+	layer.b[o] -= float64(eta * g)
 }
 
 // PredictProba implements Classifier.
@@ -207,7 +280,9 @@ func (m *MLP) PredictProba(x tabular.View) ([][]float64, Cost) {
 		acts[0], acts[len(acts)-1] = row, proba
 		m.forward(acts)
 	})
-	return out, Cost{Matrix: float64(n) * weightCount * 2}
+	// The rounded product keeps arm64 from rewriting x*2 as x+x and
+	// fusing one product into it.
+	return out, Cost{Matrix: float64(float64(n)*weightCount) * 2}
 }
 
 // Clone implements Classifier.

@@ -307,40 +307,42 @@ func (tc *treeCore) build(task treeTask, lo, hi, depth int, rng *rand.Rand) int3
 	// copied back behind them. Stability keeps every node's index order
 	// equal to the historical append-based partition, which leaf
 	// statistics' floating-point accumulation order depends on. Each
-	// row's side is also recorded for partitionSegments.
+	// row's side is also recorded for partitionSegments. The select is
+	// branch-free: every row is written to both destinations and only
+	// its own side's cursor advances. The other write is overwritten by
+	// a later row or the final copy, or lies past the spill's count; the
+	// left cursor never passes the row being read.
 	col := s.col(feature)
-	nl := lo
-	nr := 0
-	for k := lo; k < hi; k++ {
-		i := s.idx[k]
+	part := s.part[:m]
+	nl, nr := 0, 0
+	for _, i := range idx {
 		left := col[i] <= threshold
-		if left {
-			s.idx[nl] = i
-			nl++
-		} else {
-			s.part[nr] = i
-			nr++
-		}
+		b := int(b2i(left))
+		idx[nl] = i
+		part[nr] = i
+		nl += b
+		nr += 1 - b
 		if s.root != nil {
 			s.side[i] = left
 		}
 	}
-	copy(s.idx[nl:hi], s.part[:nr])
+	copy(idx[nl:], part[:nr])
 	tc.cost.Tree += float64(m)
-	if nl-lo < p.MinSamplesLeaf || nr < p.MinSamplesLeaf {
+	if nl < p.MinSamplesLeaf || nr < p.MinSamplesLeaf {
 		return tc.pushLeaf(node, value)
 	}
+	mid := lo + nl
 	// Children that cannot split never read their segments.
 	minSplit := max(p.MinSamplesSplit, 2*p.MinSamplesLeaf)
-	if s.root != nil && depth+1 < p.MaxDepth && (nl-lo >= minSplit || nr >= minSplit) {
-		tc.partitionSegments(lo, nl, hi)
+	if s.root != nil && depth+1 < p.MaxDepth && (nl >= minSplit || nr >= minSplit) {
+		tc.partitionSegments(lo, mid, hi)
 	}
 
 	node.feature = int32(feature)
 	node.threshold = threshold
 	self := tc.push(node)
-	left := tc.build(task, lo, nl, depth+1, rng)
-	right := tc.build(task, nl, hi, depth+1, rng)
+	left := tc.build(task, lo, mid, depth+1, rng)
+	right := tc.build(task, mid, hi, depth+1, rng)
 	s.nodes[self].left = left
 	s.nodes[self].right = right
 	return self
@@ -354,10 +356,16 @@ func (tc *treeCore) build(task treeTask, lo, hi, depth int, rng *rand.Rand) int3
 // instead of O(m log m). The root reads the (possibly shared) root
 // presort and writes seg; every other node partitions seg in place.
 //
+// The select is the index partition's: each key goes to both dst and
+// the spill, and only its side's cursor advances. A left key written
+// after the last right one lands one past the right count, so the spill
+// takes hi-mid+1 slots, within n because the left child is never empty.
+//
 //greenlint:hotpath per-node segment partition; spills into the treeScratch keys buffer
 func (tc *treeCore) partitionSegments(lo, mid, hi int) {
 	s := tc.scratch
-	spill := s.keys[:hi-mid]
+	spill := s.keys[:hi-mid+1]
+	side := s.side
 	for f, exact := range s.exact {
 		if !exact {
 			continue
@@ -365,13 +373,11 @@ func (tc *treeCore) partitionSegments(lo, mid, hi int) {
 		dst := s.seg[f*s.n+lo : f*s.n+hi]
 		nl, nr := 0, 0
 		for _, e := range s.segment(f, lo, hi) {
-			if s.side[e.idx] {
-				dst[nl] = e
-				nl++
-			} else {
-				spill[nr] = e
-				nr++
-			}
+			b := int(b2i(side[e.idx]))
+			dst[nl] = e
+			spill[nr] = e
+			nl += b
+			nr += 1 - b
 		}
 		copy(dst[nl:], spill[:nr])
 	}
@@ -580,7 +586,13 @@ func (tc *treeCore) evalExhaustive(task treeTask, lo, hi, f int) (gain, threshol
 }
 
 // evalRandomThreshold draws a uniform threshold between the column's min
-// and max (extra-trees style) and scores that single split.
+// and max (extra-trees style) and scores that single split. The class
+// counts take a branch-free select: each row adds l (1 or 0) to its
+// class's left count and 1-l to its right count. Counts are
+// integer-valued floats and x + 0 is x, so every count keeps the bits
+// of the branching loop's increments; NaN, never <= thr, goes right.
+//
+//greenlint:hotpath per-feature ExtraTrees scan; reads only treeScratch buffers
 func (tc *treeCore) evalRandomThreshold(task treeTask, lo, hi, f int, rng *rand.Rand) (gain, threshold float64, ok bool) {
 	s := tc.scratch
 	col := s.col(f)
@@ -609,12 +621,11 @@ func (tc *treeCore) evalRandomThreshold(task treeTask, lo, hi, f int, rng *rand.
 		}
 		var nl float64
 		for _, i := range idx {
-			if col[i] <= thr {
-				left[task.y[i]]++
-				nl++
-			} else {
-				right[task.y[i]]++
-			}
+			l := float64(b2i(col[i] <= thr))
+			y := task.y[i]
+			left[y] += l
+			right[y] += 1 - l
+			nl += l
 		}
 		nr := m - nl
 		if nl == 0 || nr == 0 {

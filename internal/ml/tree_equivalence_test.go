@@ -107,6 +107,91 @@ func TestTreeKernelMatchesLegacy(t *testing.T) {
 			}
 		}
 	}
+	// A root split that sends exactly one row to one side: the index
+	// partition's and the segment partition's spills run at their
+	// bounds (one row left fills the segment spill's m slots).
+	for _, classes := range []int{0, 2} {
+		for _, oneLeft := range []bool{true, false} {
+			t.Run(fmt.Sprintf("classes=%d/lone-row/left=%v", classes, oneLeft), func(t *testing.T) {
+				checkLoneRowRootSplit(t, classes, oneLeft)
+			})
+		}
+	}
+	// ExtraTrees classification on columns that all hold NaNs: NaN
+	// never spans the drawn range and always counts right.
+	for _, classes := range []int{2, 5} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("classes=%d/extratrees-nan/seed=%d", classes, seed), func(t *testing.T) {
+				view := nanDataset(120+int(seed)*40, 5, classes, seed).All()
+				p := TreeParams{MaxDepth: 12, RandomThreshold: true}
+				checkTaskMatchesLegacy(t, view, nil, classes, p, seed)
+				p.MaxFeatures = 0.4
+				checkTaskMatchesLegacy(t, view, nil, classes, p, seed)
+			})
+		}
+	}
+}
+
+// checkLoneRowRootSplit fits a dataset whose best root split isolates
+// the row with the smallest (oneLeft) or largest value of feature 0,
+// through its class or its outlying target, requires that root split,
+// and compares the tree with the legacy kernel's.
+func checkLoneRowRootSplit(t *testing.T, classes int, oneLeft bool) {
+	t.Helper()
+	const n = 40
+	r := rand.New(rand.NewPCG(11, uint64(classes)))
+	x := make([][]float64, n)
+	y := make([]int, n)
+	targets := make([]float64, n)
+	lone := n - 1
+	if oneLeft {
+		lone = 0
+	}
+	for i := range x {
+		x[i] = []float64{float64(i), r.NormFloat64(), float64(r.IntN(5))}
+		targets[i] = r.NormFloat64()
+	}
+	targets[lone] = 100
+	y[lone] = 1
+	if classes > 0 {
+		targets = nil
+	}
+	view := labeled("lone", x, y, max(classes, 2)).All()
+	p := TreeParams{MaxDepth: 6}
+	core := checkTaskMatchesLegacy(t, view, targets, classes, p, 3)
+	root := core.nodes[0]
+	left := 0
+	for _, row := range x {
+		if row[root.feature] <= root.threshold {
+			left++
+		}
+	}
+	want := n - 1
+	if oneLeft {
+		want = 1
+	}
+	if left != want {
+		t.Fatalf("root sends %d rows left, want %d", left, want)
+	}
+}
+
+// nanDataset has normal columns, every other one shifted by the class,
+// and a NaN in about one cell in six of every column.
+func nanDataset(n, d, classes int, seed uint64) *tabular.Frame {
+	r := rand.New(rand.NewPCG(seed, 0x4a))
+	x := make([][]float64, n)
+	y := make([]int, n)
+	for i := range x {
+		y[i] = i % classes
+		x[i] = make([]float64, d)
+		for j := range x[i] {
+			x[i][j] = r.NormFloat64() + float64(y[i]*(j%2))
+			if r.IntN(6) == 0 {
+				x[i][j] = math.NaN()
+			}
+		}
+	}
+	return labeled("nan", x, y, classes)
 }
 
 // checkKernelMatchesLegacy fits both kernels on equivDataset rows (all
@@ -123,18 +208,31 @@ func checkKernelMatchesLegacy(t *testing.T, classes int, p TreeParams, seed uint
 	if rows != nil {
 		view = view.Select(rows)
 	}
-	x, y := viewRows(view), view.LabelsInto(nil)
+	var targets []float64
+	if classes == 0 {
+		y := view.LabelsInto(nil)
+		for i, row := range viewRows(view) {
+			targets = append(targets, row[0]*1.3+row[3]+float64(y[i]))
+		}
+	}
+	checkTaskMatchesLegacy(t, view, targets, classes, p, seed)
+}
+
+// checkTaskMatchesLegacy fits both kernels on view, a classification
+// on its labels when classes > 0, else a regression on targets, and
+// fails on any difference in nodes, Cost or RNG state. It returns the
+// kernel's tree.
+func checkTaskMatchesLegacy(t *testing.T, view tabular.View, targets []float64, classes int, p TreeParams, seed uint64) *treeCore {
+	t.Helper()
+	x := viewRows(view)
 	task := treeTask{v: view}
 	legacyTask := legacyTreeTask{x: x}
 	if classes > 0 {
-		task.y = y
-		legacyTask.y = y
+		task.y = view.LabelsInto(nil)
+		legacyTask.y = task.y
 	} else {
-		task.t = make([]float64, len(x))
-		for i, row := range x {
-			task.t[i] = row[0]*1.3 + row[3] + float64(y[i])
-		}
-		legacyTask.t = task.t
+		task.t = targets
+		legacyTask.t = targets
 	}
 
 	newCore := treeCore{params: p, classes: classes}
@@ -157,6 +255,7 @@ func checkKernelMatchesLegacy(t *testing.T, classes int, p TreeParams, seed uint
 	if a, b := rngNew.Uint64(), rngOld.Uint64(); a != b {
 		t.Fatalf("RNG streams diverged after fit: %d vs %d", a, b)
 	}
+	return &newCore
 }
 
 // FuzzTreeRegressionMatchesLegacy fits the kernel and the legacy
