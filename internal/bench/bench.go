@@ -259,14 +259,14 @@ func RunGrid(systems []automl.System, cfg Config) []Record {
 	return records
 }
 
-// runGrid executes the grid: it enumerates every cell (hoisting dataset
-// generation, train/test splits, journal lookups and repository
-// consultation out of the execution path), then runs the cells on a
-// bounded pool of cfg.Workers workers. Cells are independent — their RNG
-// streams derive from cell identity, not shared state — so a resumed or
-// sharded run replays the remaining cells exactly as an uninterrupted
-// one would, and the returned records are byte-identical at every
-// worker count.
+// runGrid executes the grid: it enumerates every cell (hoisting journal
+// lookups, repository consultation and, for the cells that will
+// execute, dataset generation and train/test splits out of the
+// execution path), then runs the cells on a bounded pool of
+// cfg.Workers workers. Cells are independent — their RNG streams derive
+// from cell identity, not shared state — so a resumed or sharded run
+// replays the remaining cells exactly as an uninterrupted one would,
+// and the returned records are byte-identical at every worker count.
 func runGrid(systems []automl.System, cfg Config, journal *Journal) ([]Record, RepoStats, error) {
 	cfg = cfg.normalized()
 	inj := faults.New(cfg.Faults)
@@ -316,10 +316,17 @@ func generateDataset(spec openml.Spec, cfg Config, inj *faults.Injector) (*tabul
 			lastErr = err
 			continue
 		}
+		datasetProbe.Add(1)
 		return openml.Generate(spec, cfg.Scale, cfg.Seed), nil
 	}
 	return nil, lastErr
 }
+
+// datasetProbe counts the datasets generateDataset materializes. Like
+// fitProbe it exists for the zero-fit guarantee: a replay that only
+// reads stored cells must not regenerate the data they came from, and
+// in-package tests assert it through this counter.
+var datasetProbe atomic.Int64
 
 // fitProbe counts every Fit attempt the process performs. It exists for
 // the repository's zero-fit guarantee: a warm (fully cache-hit) rerun

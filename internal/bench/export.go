@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"repro/internal/atomicio"
@@ -49,14 +50,80 @@ func WriteCSV(w io.Writer, records []Record) error {
 	return cw.Error()
 }
 
-// WriteJSON exports grid records as a JSON array.
+// WriteJSON exports grid records as a JSON array: byte for byte what a
+// json.Encoder with SetIndent("", "  ") writes, rendered by
+// appendRecordsJSON without reflection. Like the encoder it writes
+// nothing when a record holds a NaN or infinite float.
 func WriteJSON(w io.Writer, records []Record) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(records); err != nil {
+	// A grid record renders to about 320 bytes, so one buffer holds the
+	// whole export and the writer sees a single Write.
+	buf, err := appendRecordsJSON(make([]byte, 0, 352*len(records)+8), records)
+	if err == nil {
+		_, err = w.Write(buf)
+	}
+	if err != nil {
 		return fmt.Errorf("bench: writing json: %w", err)
 	}
 	return nil
+}
+
+// appendRecordsJSON appends the indented JSON array of records and its
+// trailing newline to dst: a nil slice is null, an empty one [], and
+// Failure, Fallback and Attempts are omitted at their zero values, as
+// their omitempty tags ask. A NaN or infinite float is refused, as
+// encoding/json refuses it.
+func appendRecordsJSON(dst []byte, records []Record) ([]byte, error) {
+	if records == nil {
+		return append(dst, "null\n"...), nil
+	}
+	if len(records) == 0 {
+		return append(dst, "[]\n"...), nil
+	}
+	dst = append(dst, '[')
+	for i := range records {
+		r := &records[i]
+		for _, f := range [...]float64{r.TestScore, r.ExecKWh, r.InferKWhPerInst} {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return dst, fmt.Errorf("record %d (%s on %s): unsupported value %v", i, r.System, r.Dataset, f)
+			}
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, "\n  {\n    \"System\": "...)
+		dst = atomicio.AppendJSONString(dst, r.System)
+		dst = append(dst, ",\n    \"Dataset\": "...)
+		dst = atomicio.AppendJSONString(dst, r.Dataset)
+		dst = append(dst, ",\n    \"Budget\": "...)
+		dst = strconv.AppendInt(dst, int64(r.Budget), 10)
+		dst = append(dst, ",\n    \"Seed\": "...)
+		dst = strconv.AppendUint(dst, r.Seed, 10)
+		dst = append(dst, ",\n    \"TestScore\": "...)
+		dst = atomicio.AppendJSONFloat(dst, r.TestScore)
+		dst = append(dst, ",\n    \"ExecKWh\": "...)
+		dst = atomicio.AppendJSONFloat(dst, r.ExecKWh)
+		dst = append(dst, ",\n    \"ExecTime\": "...)
+		dst = strconv.AppendInt(dst, int64(r.ExecTime), 10)
+		dst = append(dst, ",\n    \"InferKWhPerInst\": "...)
+		dst = atomicio.AppendJSONFloat(dst, r.InferKWhPerInst)
+		dst = append(dst, ",\n    \"InferTimePerInst\": "...)
+		dst = strconv.AppendInt(dst, int64(r.InferTimePerInst), 10)
+		dst = append(dst, ",\n    \"Evaluated\": "...)
+		dst = strconv.AppendInt(dst, int64(r.Evaluated), 10)
+		if r.Failure != "" {
+			dst = append(dst, ",\n    \"Failure\": "...)
+			dst = atomicio.AppendJSONString(dst, string(r.Failure))
+		}
+		if r.Fallback {
+			dst = append(dst, ",\n    \"Fallback\": true"...)
+		}
+		if r.Attempts != 0 {
+			dst = append(dst, ",\n    \"Attempts\": "...)
+			dst = strconv.AppendInt(dst, int64(r.Attempts), 10)
+		}
+		dst = append(dst, "\n  }"...)
+	}
+	return append(dst, "\n]\n"...), nil
 }
 
 // WriteCSVFile atomically exports records as CSV to path: a kill or

@@ -439,3 +439,100 @@ func TestRepoZeroShotInRoster(t *testing.T) {
 		t.Fatalf("%d default systems, want 8", len(systems))
 	}
 }
+
+// TestRepoReplayAndResumeGenerateOnlyNeededDatasets checks that the
+// zero-fit paths skip the work their outputs never read: a replay from
+// a full read-only store and a resume from a complete journal generate
+// no dataset, and a half-journaled resume generates only the datasets
+// its executing cells need. Each run's records and exports equal the
+// cold run's.
+func TestRepoReplayAndResumeGenerateOnlyNeededDatasets(t *testing.T) {
+	dir := t.TempDir()
+	systems := []automl.System{automl.NewCAML(), automl.NewTabPFN()}
+	cfg := withWorkers(tinyConfig(), 1)
+	first := cfg.Datasets[0].Name
+	rw, err := repo.Open(filepath.Join(dir, "store"), repo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Repo = rw
+	journal := filepath.Join(dir, "cold.jsonl")
+	datasetProbe.Store(0)
+	cold, err := RunGridResumable(systems, cfg, journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := datasetProbe.Load(); n != int64(len(cfg.Datasets)) {
+		t.Fatalf("cold run generated %d datasets, want %d", n, len(cfg.Datasets))
+	}
+	coldCSV, coldJSON := exportBytes(t, cold)
+
+	// The half journal keeps every cell of the first dataset and one of
+	// the second, so only the second dataset's other cells execute.
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	half := lines[0]
+	keptOther := false
+	for _, line := range lines[1:] {
+		if strings.Contains(line, `"Dataset":"`+first+`"`) {
+			half += line
+		} else if line != "" && !keptOther {
+			half += line
+			keptOther = true
+		}
+	}
+	executing := len(cold) - (strings.Count(half, "\n") - 1)
+	if executing < 1 || !keptOther {
+		t.Fatalf("half journal leaves %d of %d cells to execute", executing, len(cold))
+	}
+	halfJournal := filepath.Join(dir, "half.jsonl")
+	if err := os.WriteFile(halfJournal, []byte(half), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := repo.Open(filepath.Join(dir, "store"), repo.Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := cfg
+	plain.Repo = nil
+	readOnly := cfg
+	readOnly.Repo = ro
+
+	for _, tc := range []struct {
+		name     string
+		run      func() ([]Record, error)
+		datasets int64
+		fits     int64
+	}{
+		{"replay from a full read-only store", func() ([]Record, error) {
+			records, _, err := runGrid(systems, readOnly, nil)
+			return records, err
+		}, 0, 0},
+		{"resume from a complete journal", func() ([]Record, error) {
+			return RunGridResumable(systems, plain, journal)
+		}, 0, 0},
+		{"half-journaled resume", func() ([]Record, error) {
+			return RunGridResumable(systems, plain, halfJournal)
+		}, 1, int64(executing)},
+	} {
+		datasetProbe.Store(0)
+		ResetFitProbe()
+		records, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := datasetProbe.Load(); n != tc.datasets {
+			t.Errorf("%s generated %d datasets, want %d", tc.name, n, tc.datasets)
+		}
+		if n := FitProbeCount(); n != tc.fits {
+			t.Errorf("%s performed %d fits, want %d", tc.name, n, tc.fits)
+		}
+		csv, jsn := exportBytes(t, records)
+		if !bytes.Equal(csv, coldCSV) || !bytes.Equal(jsn, coldJSON) {
+			t.Errorf("%s: exports differ from the cold run's", tc.name)
+		}
+	}
+}

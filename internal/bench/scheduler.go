@@ -91,16 +91,17 @@ func (g *gridSplits) split(di, seed int) (train, test tabular.View, err error) {
 }
 
 // gridCell is one enumerated cell of the benchmark grid, carrying
-// everything a worker needs to execute it: the shared, read-only
-// train/test split, and — when resuming — the completed record that
-// makes execution unnecessary.
+// everything a worker needs to resolve it: either the completed record
+// that makes execution unnecessary (a journal or repository hit), or —
+// for a cell that will execute — its shared, read-only train/test
+// split. A cached cell never carries a split.
 type gridCell struct {
 	gridPos
 	train tabular.View
 	test  tabular.View
 	// dsErr records a dataset that never materialized; every dependent
-	// cell yields a failure record instead of silently shrinking the
-	// grid.
+	// executing cell yields a failure record instead of silently
+	// shrinking the grid.
 	dsErr error
 	// cached is the already-completed record of the cell — from the
 	// journal, or (fromRepo) decoded out of the evaluation repository.
@@ -113,16 +114,21 @@ type gridCell struct {
 	id string
 }
 
-// enumerateGrid walks the grid and materializes every immutable
-// per-cell input up front, so workers share datasets and splits
-// read-only and never recompute state that does not depend on the
-// cell's own execution.
+// enumerateGrid walks the grid and resolves each cell before any worker
+// starts: first the journal, then the repository, and only for a cell
+// that neither covers — one that will execute — its dataset and
+// train/test split. Workers share those splits read-only and never
+// recompute state that does not depend on the cell's own execution. A
+// cached cell needs no split, so a replay from a full store or a resume
+// from a complete journal generates no dataset at all; since dataset
+// fault draws are site-keyed, a skipped generation perturbs no other
+// draw.
 //
 // With cfg.Shard set, only the cells the shard owns are enumerated.
 // Ownership is a pure function of (grid fingerprint, cell identity), and
 // datasets and splits are keyed by identity too, so the cells a shard
-// materializes are bit-identical to the same cells of an unsharded
-// enumeration, and a shard that owns no cell of a dataset never
+// executes are bit-identical to the same cells of an unsharded
+// enumeration, and a shard that executes no cell of a dataset never
 // generates it.
 //
 // With cfg.Repo set, every cell the journal does not already cover
@@ -141,7 +147,6 @@ func enumerateGrid(systems []automl.System, cfg Config, inj *faults.Injector, jo
 			return nil
 		}
 		cell := gridCell{gridPos: p, id: id}
-		cell.train, cell.test, cell.dsErr = splits.split(p.di, p.seed)
 		if journal != nil {
 			if rec, ok := journal.Lookup(id); ok {
 				cell.cached = &rec
@@ -163,6 +168,9 @@ func enumerateGrid(systems []automl.System, cfg Config, inj *faults.Injector, jo
 			default:
 				stats.Misses++
 			}
+		}
+		if cell.cached == nil {
+			cell.train, cell.test, cell.dsErr = splits.split(p.di, p.seed)
 		}
 		cells = append(cells, cell)
 		return nil

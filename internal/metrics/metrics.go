@@ -34,12 +34,49 @@ func NewConfusionMatrix(yTrue, yPred []int, classes int) ConfusionMatrix {
 	return m
 }
 
+// stackClasses is the class count up to which BalancedAccuracy keeps its
+// counters on the stack; wider label spaces allocate them.
+const stackClasses = 64
+
 // BalancedAccuracy is the mean per-class recall, the paper's headline
 // metric. Classes absent from yTrue are excluded from the mean. It returns
 // 0 when no class is present.
+//
+// It equals NewConfusionMatrix(yTrue, yPred, classes).BalancedAccuracy()
+// bit for bit — the same pairs are counted (both labels in range), and
+// the same integer ratios are summed in class order and divided by the
+// same count — but it keeps only each class's total and hits, so every
+// validation score and Caruana round skips building a classes×classes
+// matrix, and up to stackClasses classes it allocates nothing.
 func BalancedAccuracy(yTrue, yPred []int, classes int) float64 {
-	cm := NewConfusionMatrix(yTrue, yPred, classes)
-	return cm.BalancedAccuracy()
+	var stack [2 * stackClasses]int
+	counts := stack[:]
+	if classes > stackClasses {
+		counts = make([]int, 2*classes)
+	}
+	total, correct := counts[:classes], counts[classes:2*classes]
+	for i, t := range yTrue {
+		p := yPred[i]
+		if t >= 0 && t < classes && p >= 0 && p < classes {
+			total[t]++
+			if t == p {
+				correct[t]++
+			}
+		}
+	}
+	var sum float64
+	present := 0
+	for t, n := range total {
+		if n == 0 {
+			continue
+		}
+		present++
+		sum += float64(correct[t]) / float64(n)
+	}
+	if present == 0 {
+		return 0
+	}
+	return sum / float64(present)
 }
 
 // BalancedAccuracy computes the mean per-class recall from the matrix.

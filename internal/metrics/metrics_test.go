@@ -43,6 +43,47 @@ func TestBalancedAccuracyIgnoresAbsentClasses(t *testing.T) {
 	}
 }
 
+// TestBalancedAccuracyMatchesConfusionMatrix checks that the counting
+// BalancedAccuracy equals the confusion-matrix one bit for bit, on
+// seeded random labels: some out of range on either side, some classes
+// absent, and class counts on both sides of the stack bound. Below the
+// bound it must allocate nothing.
+func TestBalancedAccuracyMatchesConfusionMatrix(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 7))
+	for _, classes := range []int{0, 1, 2, 3, 7, 24, stackClasses - 1, stackClasses, stackClasses + 1, 3 * stackClasses} {
+		for trial := 0; trial < 40; trial++ {
+			n := rng.IntN(400)
+			// Labels span [-2, classes+2), so out-of-range values appear
+			// on both sides, and with few distinct labels drawn some
+			// classes stay absent.
+			span := classes + 4
+			if trial%3 == 0 && classes > 0 {
+				span = 1 + classes/2 + 4
+			}
+			yTrue, yPred := make([]int, n), make([]int, n)
+			for i := range yTrue {
+				yTrue[i] = rng.IntN(span) - 2
+				if rng.IntN(4) == 0 {
+					yPred[i] = yTrue[i]
+				} else {
+					yPred[i] = rng.IntN(classes+4) - 2
+				}
+			}
+			got := BalancedAccuracy(yTrue, yPred, classes)
+			want := NewConfusionMatrix(yTrue, yPred, classes).BalancedAccuracy()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("classes=%d trial=%d: BalancedAccuracy %v (%#x), confusion matrix %v (%#x)",
+					classes, trial, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if classes <= stackClasses {
+				if allocs := testing.AllocsPerRun(5, func() { BalancedAccuracy(yTrue, yPred, classes) }); allocs != 0 {
+					t.Fatalf("classes=%d: %v allocations per call, want 0", classes, allocs)
+				}
+			}
+		}
+	}
+}
+
 // TestBalancedAccuracyImbalanceInvariance property-checks the defining
 // feature of balanced accuracy: duplicating instances of one class does
 // not change the score.

@@ -39,12 +39,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/atomicio"
 	"repro/internal/ml"
@@ -178,8 +181,16 @@ func (r *Repository) Get(fingerprint, key string) (e *Entry, damaged bool, err e
 // wrapping its cause (fs.ErrNotExist for a missing file). A cell that
 // does not verify is damaged: with AllowDamage the error is nil (a
 // counted miss), otherwise it wraps ErrDamaged.
+//
+// The file is read into a pooled buffer that goes back to the pool when
+// readCell returns. That is safe because decodeEntry copies every blob
+// out of the payload, and every error formats the bytes it quotes, so
+// nothing readCell returns aliases the buffer.
 func (r *Repository) readCell(path, fingerprint, key string) (e *Entry, damaged bool, err error) {
-	data, err := os.ReadFile(path)
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
+	data, err := readFileInto((*buf)[:0], path)
+	*buf = data
 	if err != nil {
 		return nil, false, fmt.Errorf("repo: reading %s: %w", path, err)
 	}
@@ -198,6 +209,39 @@ func (r *Repository) readCell(path, fingerprint, key string) (e *Entry, damaged 
 		return nil, true, nil
 	}
 	return nil, true, fmt.Errorf("repo: %s: %w: %w (rerun the cell, or pass -repo-allow-damage to count it as a miss)", path, ErrDamaged, verr)
+}
+
+// readBufs recycles readCell's file buffers, so a warm replay reads
+// each cell without allocating its size in fresh bytes.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readFileInto reads the whole file at path into buf, reusing its
+// capacity, and returns the filled slice. Like os.ReadFile it reads to
+// EOF rather than trusting the size Stat reports (which only sizes the
+// buffer), so a file that grows or shrinks under the read yields
+// exactly the bytes the read saw, and it returns the same errors.
+func readFileInto(buf []byte, path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
+		buf = slices.Grow(buf, int(fi.Size())+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				err = nil
+			}
+			return buf, err
+		}
+	}
 }
 
 // Put stores one cell, replacing any previous version atomically. The

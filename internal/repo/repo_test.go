@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/atomicio"
@@ -398,5 +399,102 @@ func TestDecodedEntryOwnsItsBytes(t *testing.T) {
 	clear(payload)
 	if !sameEntry(e, testEntry("k")) {
 		t.Fatalf("clearing the payload changed the decoded entry: %+v", e)
+	}
+}
+
+// aliasEntry is cell i of TestRepoPooledReadsDoNotAlias: every field
+// differs between cells, and the cells differ in size, so a reused read
+// buffer holds another cell's bytes at every offset.
+func aliasEntry(i int) *Entry {
+	rows, classes := 3+5*i, 2+i%3
+	proba := make([]float64, rows*classes)
+	for j := range proba {
+		proba[j] = float64(i*1000+j) / 7
+	}
+	return &Entry{
+		Fingerprint: "fp01",
+		Key:         fmt.Sprintf("sys%d|dataset-%d|%d|%d", i, i, 10*(i+1), i),
+		System:      fmt.Sprintf("sys%d", i),
+		Dataset:     fmt.Sprintf("dataset-%d", i),
+		Score:       float64(i) / 9,
+		Record:      []byte(fmt.Sprintf(`{"System":"sys%d","Pad":"%s"}`, i, strings.Repeat("r", 40*i))),
+		Config:      []byte(fmt.Sprintf(`{"model":%d,"pad":"%s"}`, i, strings.Repeat("c", 17*i))),
+		Rows:        rows,
+		Classes:     classes,
+		Proba:       proba,
+		InferCost:   ml.Cost{Generic: float64(i), Tree: 2, Matrix: 0.5},
+	}
+}
+
+// TestRepoPooledReadsDoNotAlias checks that cell reads, which share
+// pooled file buffers, hand out entries that own their bytes: every
+// entry a Get or a Walk returns stays equal to what was stored after
+// later reads of other cells, one after another and from two
+// goroutines at once.
+func TestRepoPooledReadsDoNotAlias(t *testing.T) {
+	r := mustOpen(t, t.TempDir(), Options{})
+	const cells = 6
+	for i := 0; i < cells; i++ {
+		if err := r.Put(aliasEntry(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// reads gets every cell in the given order, then walks the store,
+	// and returns each entry it was handed, with the cell it holds.
+	reads := func(order []int) (map[*Entry]int, error) {
+		got := make(map[*Entry]int)
+		for _, i := range order {
+			e, damaged, err := r.Get("fp01", aliasEntry(i).Key)
+			if err != nil || damaged || e == nil {
+				return nil, fmt.Errorf("get cell %d: entry %v, damaged %v: %w", i, e != nil, damaged, err)
+			}
+			got[e] = i
+		}
+		i := 0
+		_, err := r.Walk(func(e *Entry) error {
+			got[e] = i // the walk visits keys in order, and key order is cell order
+			i++
+			return nil
+		})
+		return got, err
+	}
+	check := func(what string, got map[*Entry]int) {
+		t.Helper()
+		if len(got) != 2*cells {
+			t.Fatalf("%s: %d entries, want %d", what, len(got), 2*cells)
+		}
+		for e, i := range got {
+			if !sameEntry(e, aliasEntry(i)) {
+				t.Fatalf("%s: cell %d changed after later reads: %+v", what, i, e)
+			}
+		}
+	}
+
+	got, err := reads([]int{0, 5, 1, 4, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("sequential", got)
+
+	var (
+		wg      sync.WaitGroup
+		results [2]map[*Entry]int
+		errs    [2]error
+	)
+	for g, order := range [2][]int{{5, 4, 3, 2, 1, 0}, {0, 2, 4, 1, 3, 5}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20 && errs[g] == nil; round++ {
+				results[g], errs[g] = reads(order)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range results {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		check(fmt.Sprintf("goroutine %d", g), results[g])
 	}
 }

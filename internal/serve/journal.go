@@ -119,7 +119,7 @@ func appendRecord(dst []byte, rec *JournalRecord) ([]byte, bool) {
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendUint(dst, rec.ID, 10)
 	dst = append(dst, `,"outcome":`...)
-	dst = appendJSONString(dst, rec.Outcome)
+	dst = atomicio.AppendJSONString(dst, rec.Outcome)
 	dst = append(dst, `,"class":`...)
 	dst = strconv.AppendInt(dst, int64(rec.Class), 10)
 	dst = append(dst, `,"done_us":`...)
@@ -127,48 +127,12 @@ func appendRecord(dst []byte, rec *JournalRecord) ([]byte, bool) {
 	dst = append(dst, `,"latency_us":`...)
 	dst = strconv.AppendInt(dst, rec.LatencyUS, 10)
 	dst = append(dst, `,"joules":`...)
-	dst = appendJSONFloat(dst, rec.Joules)
+	dst = atomicio.AppendJSONFloat(dst, rec.Joules)
 	if rec.Err != "" {
 		dst = append(dst, `,"err":`...)
-		dst = appendJSONString(dst, rec.Err)
+		dst = atomicio.AppendJSONString(dst, rec.Err)
 	}
 	return append(dst, '}'), true
-}
-
-// appendJSONFloat appends a finite f as encoding/json writes a float64:
-// the shortest round-trip digits, in exponent form only below 1e-6 or
-// from 1e21 up, with a two-digit negative exponent shortened (e-07 to
-// e-7).
-func appendJSONFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
-}
-
-// appendJSONString appends s as json.Marshal writes a string. Printable
-// ASCII other than '"', '\\' and HTML's '<', '>' and '&' needs no
-// escape, so such a string — every outcome name and almost every engine
-// message — is copied between quotes. Any other string goes through
-// json.Marshal, which applies its full, HTML-safe escaping.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always encodes
-			return append(dst, quoted...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }
 
 // Flush pushes buffered lines to the OS and syncs the file. A failed
